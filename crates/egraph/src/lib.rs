@@ -40,5 +40,5 @@ pub mod extract;
 pub use analysis::{analyze, ClassAnalysis};
 pub use extract::{extract, extract_around, CostWeights};
 pub use graph::EGraph;
-pub use saturate::{saturate, Budget, SaturationReport};
+pub use saturate::{saturate, Budget, SaturationReport, StopReason};
 pub use unionfind::UnionFind;

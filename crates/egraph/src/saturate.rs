@@ -12,14 +12,34 @@
 //! re-binds, which is what makes shared-variable rules like Ω.D
 //! selective.
 //!
+//! A round streams matches straight into rule application. Right after
+//! `rebuild`, the round takes a [`Snapshot`] of every class's e-nodes
+//! (their child triples and stored polarities), and the matcher reads
+//! only that. Each complete binding goes to an `emit` callback that
+//! instantiates the rule's rhs and unions it with the matched class on
+//! the spot, and matching stops as soon as applying stops. The round
+//! ends at the first of three events: `match_cap` bindings consumed,
+//! the live e-node count reaching `max_nodes` before an instantiation,
+//! or the class × rule enumeration running out.
+//!
+//! Streaming is exact: it applies the same bindings in the same order as
+//! collecting a round's matches first and applying them afterwards.
+//! Between two rebuilds, `add` only appends e-nodes and `union` only
+//! touches the union-find and the live class lists; neither edits an
+//! e-node the snapshot already holds. So the snapshot yields exactly the
+//! binding stream an up-front collection would have listed, and the
+//! stream is consumed under the same cap and node-budget checks.
+//!
 //! Everything iterates in deterministic order — rules as listed, classes
 //! by ascending id, e-nodes in insertion order, permutations in a fixed
 //! table — so a saturation run is a pure function of the input graph and
 //! budgets. Budgets bound the blow-up: `max_nodes` stops rule
 //! application once the e-graph holds that many live e-nodes (the
 //! expanding Ω.D direction grows fast), `max_iters` bounds the
-//! match/apply/rebuild rounds, and a match-list cap keeps one round's
-//! candidate list proportional to the node budget.
+//! match/apply/rebuild rounds, and the match cap, a count of bindings
+//! consumed, bounds one round's work in proportion to the node budget.
+
+use std::ops::ControlFlow;
 
 use rlim_mig::rewrite::rules::{Pattern, RewriteRule, MAX_VARS};
 use rlim_mig::{NodeId, Signal};
@@ -30,7 +50,12 @@ use crate::graph::EGraph;
 /// close small graphs, a bounded exploration on large ones.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Budget {
-    /// Stop applying rules once this many live e-nodes exist.
+    /// Stop applying rules once this many live e-nodes exist. The check
+    /// runs before each rule instantiation, and one instantiation adds
+    /// at most `R` e-nodes, where `R` is the most majorities in any
+    /// rule's rhs (3 for the Ω rules, from Ω.D left-to-right). A run
+    /// therefore ends with at most `max(initial, max_nodes + R − 1)`
+    /// live e-nodes.
     pub max_nodes: usize,
     /// Maximum match/apply/rebuild rounds.
     pub max_iters: usize,
@@ -45,6 +70,23 @@ impl Default for Budget {
     }
 }
 
+/// Why a saturation run ended.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum StopReason {
+    /// The last round merged nothing: no rule produced a new union.
+    Saturated,
+    /// The node budget cut the last round short, or was already met
+    /// before the next round could start.
+    NodeBudget,
+    /// The last round enumerated every match and merged something, and
+    /// no rounds were left. A run with `max_iters == 0` also ends here.
+    #[default]
+    IterBudget,
+    /// The last round consumed the match cap before its enumeration ran
+    /// out, and no rounds were left.
+    MatchCap,
+}
+
 /// What a saturation run did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SaturationReport {
@@ -55,8 +97,11 @@ pub struct SaturationReport {
     /// Live e-nodes at the end.
     pub enodes: usize,
     /// True when the run stopped because no rule produced a new merge
-    /// (a genuine fixed point), false when a budget cut it off.
+    /// (a genuine fixed point), false when a budget cut it off. Equals
+    /// `stop == StopReason::Saturated`.
     pub saturated: bool,
+    /// Why the run ended.
+    pub stop: StopReason,
 }
 
 /// A variable binding: signals by variable index.
@@ -72,32 +117,62 @@ const PERMS: [[usize; 3]; 6] = [
     [2, 1, 0],
 ];
 
-/// Matches `pattern` against the class signal `target`, extending
-/// `binding`; complete bindings are appended to `out` (up to `cap`).
-fn match_class(
-    eg: &EGraph,
+/// Every class's live e-nodes as of the last `rebuild`, flattened: class
+/// `c` owns `members[start[c]..start[c + 1]]`, each entry an e-node's
+/// child triple and whether it holds its class complemented.
+#[derive(Debug, Default)]
+struct Snapshot {
+    start: Vec<usize>,
+    members: Vec<([Signal; 3], bool)>,
+}
+
+impl Snapshot {
+    /// Refills the snapshot from `eg`, reusing its buffers.
+    fn take(&mut self, eg: &EGraph) {
+        self.start.clear();
+        self.members.clear();
+        self.start.push(0);
+        for list in &eg.class_nodes {
+            self.members.extend(list.iter().map(|e| {
+                let e = e.index();
+                (eg.nodes[e], eg.node_class[e].is_complement())
+            }));
+            self.start.push(self.members.len());
+        }
+    }
+
+    fn num_classes(&self) -> usize {
+        self.start.len() - 1
+    }
+
+    fn class(&self, cls: usize) -> &[([Signal; 3], bool)] {
+        &self.members[self.start[cls]..self.start[cls + 1]]
+    }
+}
+
+/// Matches the obligations against `snap`, extending `binding`, and
+/// hands each complete binding to `emit`. Stops at the first `Break`
+/// from `emit` and returns it; the obligation stack and `binding` are
+/// left mid-search then.
+fn match_class<B>(
+    snap: &Snapshot,
     obligations: &mut Vec<(&Pattern, Signal)>,
     binding: &mut Binding,
-    out: &mut Vec<Binding>,
-    cap: usize,
-) {
-    if out.len() >= cap {
-        return;
-    }
+    emit: &mut impl FnMut(&Binding) -> ControlFlow<B>,
+) -> ControlFlow<B> {
     let Some((pattern, target)) = obligations.pop() else {
-        out.push(*binding);
-        return;
+        return emit(binding);
     };
     match pattern {
         Pattern::Var { var, complement } => {
             let want = target.complement_if(*complement);
             let v = *var as usize;
             match binding[v] {
-                Some(bound) if bound == want => match_class(eg, obligations, binding, out, cap),
+                Some(bound) if bound == want => match_class(snap, obligations, binding, emit)?,
                 Some(_) => {}
                 None => {
                     binding[v] = Some(want);
-                    match_class(eg, obligations, binding, out, cap);
+                    match_class(snap, obligations, binding, emit)?;
                     binding[v] = None;
                 }
             }
@@ -107,12 +182,10 @@ fn match_class(
             complement,
         } => {
             let want = target.complement_if(*complement);
-            for &e in &eg.class_nodes[want.node().index()] {
+            for &(tri, polarity) in snap.class(want.node().index()) {
                 // The e-node computes its class xor its stored polarity;
                 // serving `want` may require the dual spelling.
-                let polarity = eg.node_class[e.index()].is_complement();
                 let dual = polarity ^ want.is_complement();
-                let tri = eg.nodes[e.index()];
                 let t = [
                     tri[0].complement_if(dual),
                     tri[1].complement_if(dual),
@@ -122,13 +195,14 @@ fn match_class(
                     for k in 0..3 {
                         obligations.push((&children[k], t[perm[k]]));
                     }
-                    match_class(eg, obligations, binding, out, cap);
+                    match_class(snap, obligations, binding, emit)?;
                     obligations.truncate(obligations.len() - 3);
                 }
             }
         }
     }
     obligations.push((pattern, target));
+    ControlFlow::Continue(())
 }
 
 /// Instantiates `pattern` under `binding`, creating e-nodes as needed.
@@ -149,63 +223,79 @@ fn instantiate(eg: &mut EGraph, pattern: &Pattern, binding: &Binding) -> Signal 
     }
 }
 
+/// One round: matches every rule against every class of `snap` (classes
+/// outer, rules inner, so a cut-off round loses coverage by region
+/// rather than starving later rules) and applies each binding as it is
+/// found. Unions made early are visible to later instantiations, whose
+/// `add`s canonicalize on entry. Returns the merges made and what ended
+/// the round: the budget that cut it short, or `IterBudget` when the
+/// enumeration ran out and only another round can find more.
+fn apply_round(
+    eg: &mut EGraph,
+    rules: &[RewriteRule],
+    snap: &Snapshot,
+    max_nodes: usize,
+    match_cap: usize,
+) -> (usize, StopReason) {
+    let mut obligations: Vec<(&Pattern, Signal)> = Vec::new();
+    let mut consumed = 0usize;
+    let mut merged = 0usize;
+    for cls in 0..snap.num_classes() {
+        if snap.class(cls).is_empty() {
+            continue;
+        }
+        let target = Signal::new(NodeId::new(cls as u32), false);
+        for rule in rules {
+            let mut emit = |binding: &Binding| {
+                if consumed == match_cap {
+                    return ControlFlow::Break(StopReason::MatchCap);
+                }
+                if eg.num_enodes() >= max_nodes {
+                    return ControlFlow::Break(StopReason::NodeBudget);
+                }
+                consumed += 1;
+                let rhs = instantiate(eg, &rule.rhs, binding);
+                if eg.union(target, rhs) {
+                    merged += 1;
+                }
+                ControlFlow::Continue(())
+            };
+            obligations.clear();
+            obligations.push((&rule.lhs, target));
+            let mut binding: Binding = [None; MAX_VARS];
+            if let ControlFlow::Break(cut) =
+                match_class(snap, &mut obligations, &mut binding, &mut emit)
+            {
+                return (merged, cut);
+            }
+        }
+    }
+    (merged, StopReason::IterBudget)
+}
+
 /// Runs equality saturation over `rules` within `budget`.
 pub fn saturate(eg: &mut EGraph, rules: &[RewriteRule], budget: &Budget) -> SaturationReport {
     eg.rebuild();
     let mut report = SaturationReport::default();
     let match_cap = budget.max_nodes.saturating_mul(4).max(1024);
-    let mut matches: Vec<(NodeId, u32, Binding)> = Vec::new();
-    let mut obligations: Vec<(&Pattern, Signal)> = Vec::new();
-    let mut bindings: Vec<Binding> = Vec::new();
+    let mut snap = Snapshot::default();
     for _ in 0..budget.max_iters {
         if eg.num_enodes() >= budget.max_nodes {
+            report.stop = StopReason::NodeBudget;
             break;
         }
         report.iterations += 1;
-        // Collect every match of every rule against the current graph.
-        // Classes outer, rules inner: if the cap trips, coverage is cut
-        // off by region rather than starving later rules entirely.
-        matches.clear();
-        'collect: for cls in 0..eg.num_classes() {
-            let id = NodeId::new(cls as u32);
-            if eg.class_nodes[cls].is_empty() {
-                continue;
-            }
-            let target = Signal::new(id, false);
-            for (ri, rule) in rules.iter().enumerate() {
-                bindings.clear();
-                obligations.push((&rule.lhs, target));
-                let mut binding: Binding = [None; MAX_VARS];
-                match_class(eg, &mut obligations, &mut binding, &mut bindings, match_cap);
-                obligations.clear();
-                for b in &bindings {
-                    matches.push((id, ri as u32, *b));
-                    if matches.len() >= match_cap {
-                        break 'collect;
-                    }
-                }
-            }
-        }
-        // Apply: instantiate each rhs and merge it with the matched
-        // class. Unions performed early in the list are visible to the
-        // `add`s of later instantiations (they canonicalize on entry).
-        let mut merged = 0usize;
-        for (cls, ri, binding) in &matches {
-            if eg.num_enodes() >= budget.max_nodes {
-                break;
-            }
-            let rhs = instantiate(eg, &rules[*ri as usize].rhs, binding);
-            if eg.union(Signal::new(*cls, false), rhs) {
-                merged += 1;
-            }
-        }
+        snap.take(eg);
+        let (merged, cut) = apply_round(eg, rules, &snap, budget.max_nodes, match_cap);
         eg.rebuild();
         report.unions += merged;
         if merged == 0 {
-            report.saturated = true;
+            report.stop = StopReason::Saturated;
             break;
         }
+        report.stop = cut;
     }
+    report.saturated = report.stop == StopReason::Saturated;
     report.enodes = eg.num_enodes();
     report
 }
@@ -293,6 +383,14 @@ mod tests {
         assert_eq!(outs[0], outs[1], "Ψ.C must merge the two spellings");
     }
 
+    /// Majorities in a pattern: the e-nodes one instantiation can add.
+    fn majorities(p: &Pattern) -> usize {
+        match p {
+            Pattern::Var { .. } => 0,
+            Pattern::Maj { children, .. } => 1 + children.iter().map(majorities).sum::<usize>(),
+        }
+    }
+
     #[test]
     fn node_budget_stops_growth() {
         let mut mig = Mig::new(6);
@@ -302,15 +400,74 @@ mod tests {
             acc = mig.add_maj(acc, w[1], w[2]);
         }
         mig.add_output(acc);
-        let tight = Budget {
-            max_nodes: 5,
-            max_iters: 8,
-        };
-        let (eg, _, report) = saturated(&mig, &tight);
-        // The budget is a soft ceiling: one round may overshoot while
-        // applying its collected matches, but growth stops there.
-        assert!(!report.saturated || eg.num_enodes() <= 5);
-        assert!(report.iterations <= 8);
+        let rhs_max = omega_rules()
+            .iter()
+            .map(|r| majorities(&r.rhs))
+            .max()
+            .unwrap();
+        assert_eq!(rhs_max, 3, "Ω.D.lr's rhs holds three majorities");
+        let initial = EGraph::from_mig(&mig).0.num_enodes();
+        assert_eq!(initial, 5);
+        for max_nodes in [3, 5, 6, 8, 13, 21, 34] {
+            let budget = Budget {
+                max_nodes,
+                max_iters: 8,
+            };
+            let (eg, _, report) = saturated(&mig, &budget);
+            // The check runs before each instantiation, and one
+            // instantiation adds at most `rhs_max` e-nodes.
+            let bound = initial.max(max_nodes + rhs_max - 1);
+            assert!(
+                eg.num_enodes() <= bound,
+                "max_nodes {max_nodes}: {} e-nodes exceed {bound}",
+                eg.num_enodes()
+            );
+            assert_eq!(report.enodes, eg.num_enodes());
+            assert_eq!(report.stop, StopReason::NodeBudget, "max_nodes {max_nodes}");
+            assert!(report.iterations <= 8);
+        }
+    }
+
+    #[test]
+    fn stop_reason_names_what_ended_the_run() {
+        // A lone gate over inputs: no rule lhs has a nested majority to
+        // match, so the first round merges nothing.
+        let mut lone = Mig::new(3);
+        let [a, b, c] = [lone.input(0), lone.input(1), lone.input(2)];
+        let g = lone.add_maj(a, b, c);
+        lone.add_output(g);
+        // A complemented chain over three inputs: dense enough that a
+        // round can consume the 1024-binding cap (the floor at this node
+        // budget) without reaching the node budget.
+        let mut chain = Mig::new(3);
+        let inputs: Vec<Signal> = chain.inputs().collect();
+        let mut acc = chain.add_maj(inputs[0], inputs[1], inputs[2]);
+        for i in 0..4 {
+            acc = chain.add_maj(acc, inputs[(i + 1) % 3], !inputs[(i + 2) % 3]);
+        }
+        chain.add_output(acc);
+        let cases = [
+            (&lone, 256, 4, StopReason::Saturated, 1),
+            (&chain, 256, 0, StopReason::IterBudget, 0),
+            (&chain, 256, 1, StopReason::IterBudget, 1),
+            (&chain, 256, 2, StopReason::MatchCap, 2),
+            // Round 3 hits the node budget mid-round; round 4 never
+            // starts.
+            (&chain, 256, 3, StopReason::NodeBudget, 3),
+            (&chain, 256, 4, StopReason::NodeBudget, 3),
+            // Already over budget: no round runs at all.
+            (&chain, 4, 4, StopReason::NodeBudget, 0),
+        ];
+        for (mig, max_nodes, max_iters, stop, iterations) in cases {
+            let budget = Budget {
+                max_nodes,
+                max_iters,
+            };
+            let (_, _, report) = saturated(mig, &budget);
+            assert_eq!(report.stop, stop, "{budget:?}");
+            assert_eq!(report.iterations, iterations, "{budget:?}");
+            assert_eq!(report.saturated, report.stop == StopReason::Saturated);
+        }
     }
 
     #[test]
