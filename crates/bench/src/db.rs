@@ -1,7 +1,8 @@
 //! The on-disk bench database: an **append-only** JSON array of per-run
-//! fleet-throughput records, written through the workspace's in-tree
-//! [`Json`] writer, plus the regression gate that compares a fresh
-//! measurement against the last committed record.
+//! fleet-throughput records, written and read back through the
+//! workspace's in-tree [`Json`] writer and reader, plus the regression
+//! gate that compares a fresh measurement against the last committed
+//! record.
 //!
 //! The file format is deliberately boring — a pretty-printed JSON array
 //! whose element shape (field order, float precision) is pinned by the
@@ -14,7 +15,7 @@ use std::fmt;
 use std::io;
 use std::path::Path;
 
-use rlim_service::json::Json;
+use rlim_service::json::{self, Json};
 
 /// Default relative throughput drop tolerated by the regression gate
 /// (`0.5` = the new run may be up to 50% slower than the last committed
@@ -139,17 +140,21 @@ pub fn append(path: &Path, record: &BenchRecord) -> io::Result<()> {
     std::fs::write(path, text)
 }
 
-/// Reads every record back out of a DB file. Line-scrapes the pinned
-/// format (the workspace has no JSON parser dependency); the shape is
-/// frozen by the golden test, so this is exact for files [`append`]
-/// wrote.
+/// Reads every record back out of a DB file through the workspace's
+/// JSON reader. Records from before the wear columns existed read their
+/// `max_cell_writes` and `write_stdev` as zero.
 pub fn records(path: &Path) -> io::Result<Vec<BenchRecord>> {
     let text = match std::fs::read_to_string(path) {
         Ok(text) => text,
         Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Vec::new()),
         Err(e) => return Err(e),
     };
-    parse_records(&text).map_err(|msg| {
+    let parsed = match json::parse(&text) {
+        Ok(Json::Array(items)) => items.iter().map(parse_record).collect(),
+        Ok(_) => Err("expected an array of records".to_owned()),
+        Err(e) => Err(e.to_string()),
+    };
+    parsed.map_err(|msg| {
         io::Error::new(
             io::ErrorKind::InvalidData,
             format!("{}: {msg}", path.display()),
@@ -157,73 +162,33 @@ pub fn records(path: &Path) -> io::Result<Vec<BenchRecord>> {
     })
 }
 
-fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    line.trim()
-        .strip_prefix("\"")?
-        .strip_prefix(key)?
-        .strip_prefix("\": ")
-        .map(|rest| rest.trim_end_matches(','))
-}
-
-fn parse_records(text: &str) -> Result<Vec<BenchRecord>, String> {
-    let mut out = Vec::new();
-    let mut current: Option<BenchRecord> = None;
-    for line in text.lines() {
-        if line.trim() == "{" {
-            current = Some(BenchRecord {
-                run: 0,
-                benchmark: String::new(),
-                arrays: 0,
-                jobs: 0,
-                instructions: 0,
-                scalar_seconds: 0.0,
-                scalar_ops_per_second: 0.0,
-                simd_seconds: 0.0,
-                simd_ops_per_second: 0.0,
-                speedup: 0.0,
-                max_cell_writes: 0,
-                write_stdev: 0.0,
-            });
-            continue;
-        }
-        if matches!(line.trim(), "}" | "},") {
-            if let Some(r) = current.take() {
-                out.push(r);
-            }
-            continue;
-        }
-        let Some(r) = current.as_mut() else { continue };
-        let num = |v: &str| v.parse::<f64>().map_err(|e| format!("bad number {v}: {e}"));
-        if let Some(v) = field(line, "run") {
-            r.run = num(v)? as u64;
-        } else if let Some(v) = field(line, "benchmark") {
-            r.benchmark = v.trim_matches('"').to_owned();
-        } else if let Some(v) = field(line, "arrays") {
-            r.arrays = num(v)? as usize;
-        } else if let Some(v) = field(line, "jobs") {
-            r.jobs = num(v)? as usize;
-        } else if let Some(v) = field(line, "instructions") {
-            r.instructions = num(v)? as u64;
-        } else if let Some(v) = field(line, "scalar_seconds") {
-            r.scalar_seconds = num(v)?;
-        } else if let Some(v) = field(line, "scalar_ops_per_second") {
-            r.scalar_ops_per_second = num(v)?;
-        } else if let Some(v) = field(line, "simd_seconds") {
-            r.simd_seconds = num(v)?;
-        } else if let Some(v) = field(line, "simd_ops_per_second") {
-            r.simd_ops_per_second = num(v)?;
-        } else if let Some(v) = field(line, "speedup") {
-            r.speedup = num(v)?;
-        } else if let Some(v) = field(line, "max_cell_writes") {
-            r.max_cell_writes = num(v)? as u64;
-        } else if let Some(v) = field(line, "write_stdev") {
-            r.write_stdev = num(v)?;
-        }
-    }
-    if current.is_some() {
-        return Err("unterminated record".to_owned());
-    }
-    Ok(out)
+/// Precision-0 floats (the ops/s columns) render without a fraction, so
+/// a number reads as either JSON number kind; records from before the
+/// wear columns existed read those as zero.
+fn parse_record(record: &Json) -> Result<BenchRecord, String> {
+    let num = |key: &str| match record.get(key) {
+        Some(Json::UInt(v)) => Ok(*v as f64),
+        Some(Json::Float { value, .. }) => Ok(*value),
+        None if matches!(key, "max_cell_writes" | "write_stdev") => Ok(0.0),
+        _ => Err(format!("`{key}`: expected a number")),
+    };
+    let Some(Json::Str(benchmark)) = record.get("benchmark") else {
+        return Err("`benchmark`: expected a string".to_owned());
+    };
+    Ok(BenchRecord {
+        run: num("run")? as u64,
+        benchmark: benchmark.clone(),
+        arrays: num("arrays")? as usize,
+        jobs: num("jobs")? as usize,
+        instructions: num("instructions")? as u64,
+        scalar_seconds: num("scalar_seconds")?,
+        scalar_ops_per_second: num("scalar_ops_per_second")?,
+        simd_seconds: num("simd_seconds")?,
+        simd_ops_per_second: num("simd_ops_per_second")?,
+        speedup: num("speedup")?,
+        max_cell_writes: num("max_cell_writes")? as u64,
+        write_stdev: num("write_stdev")?,
+    })
 }
 
 /// The run index the next appended record should carry.
@@ -355,6 +320,69 @@ mod tests {
         let path = temp_db("missing");
         assert_eq!(records(&path).unwrap(), Vec::new());
         assert_eq!(next_run(&[]), 1);
+    }
+
+    #[test]
+    fn committed_db_reads_back_its_records() {
+        let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_db.json");
+        let back = records(&path).unwrap();
+        let committed =
+            |run, benchmark: &str, scalar: (f64, f64), simd: (f64, f64), speedup| BenchRecord {
+                run,
+                benchmark: benchmark.to_owned(),
+                arrays: 4,
+                jobs: 256,
+                instructions: 19_712_000,
+                scalar_seconds: scalar.0,
+                scalar_ops_per_second: scalar.1,
+                simd_seconds: simd.0,
+                simd_ops_per_second: simd.1,
+                speedup,
+                max_cell_writes: 292,
+                write_stdev: 113.1916,
+            };
+        let legacy = BenchRecord {
+            max_cell_writes: 0,
+            write_stdev: 0.0,
+            ..committed(
+                1,
+                "div",
+                (0.080455, 245005597.0),
+                (0.002136, 9228974260.0),
+                37.668,
+            )
+        };
+        assert_eq!(
+            back,
+            [
+                legacy,
+                committed(
+                    2,
+                    "div",
+                    (0.158324, 124504022.0),
+                    (0.002391, 8245352787.0),
+                    66.226
+                ),
+                committed(
+                    3,
+                    "div+esat",
+                    (0.191034, 103185572.0),
+                    (0.003268, 6032013861.0),
+                    58.458
+                ),
+            ]
+        );
+    }
+
+    #[test]
+    fn malformed_db_reads_as_invalid_data() {
+        let path = temp_db("malformed");
+        for text in ["not a db", "[\n  {\n    \"run\": 1\n  }\n]\n", "{}"] {
+            std::fs::write(&path, text).unwrap();
+            let err = records(&path).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{text:?}");
+        }
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

@@ -26,32 +26,22 @@
 
 pub mod db;
 
+use rlim_service::json::{self, Json};
+
 /// Extracts `(name, total_seconds)` pairs from a previously written
-/// `BENCH_compile.json` document, without a JSON dependency. Exact for
-/// files the harness wrote itself (the format is pinned by the in-tree
-/// [`rlim_service::json::Json`] writer).
+/// `BENCH_compile.json` document. A document that does not parse yields
+/// none; rows missing either field are skipped.
 pub fn baseline_totals(text: &str) -> Vec<(String, f64)> {
-    let mut out = Vec::new();
-    let mut name: Option<String> = None;
-    for line in text.lines() {
-        let line = line.trim();
-        if let Some(rest) = line.strip_prefix("\"name\":") {
-            name = rest
-                .trim()
-                .trim_end_matches(',')
-                .trim_matches('"')
-                .to_owned()
-                .into();
-        } else if let Some(rest) = line.strip_prefix("\"total_seconds\":") {
-            if let (Some(n), Ok(v)) = (
-                name.take(),
-                rest.trim().trim_end_matches(',').parse::<f64>(),
-            ) {
-                out.push((n, v));
-            }
-        }
-    }
-    out
+    let doc = json::parse(text).unwrap_or(Json::Null);
+    let Some(Json::Array(rows)) = doc.get("benchmarks") else {
+        return Vec::new();
+    };
+    rows.iter()
+        .filter_map(|row| match (row.get("name")?, row.get("total_seconds")?) {
+            (Json::Str(name), Json::Float { value, .. }) => Some((name.clone(), *value)),
+            _ => None,
+        })
+        .collect()
 }
 
 /// The speedup of `total_seconds` for `name` against the previously

@@ -1,7 +1,7 @@
 //! The MIG → PLiM compile entry point and its result type.
 //!
-//! [`compile`] is a thin wrapper over the standard pass pipeline
-//! (rewrite → schedule → translate → optional peephole → finalize); see
+//! [`compile`] drives the standard passes (rewrite → esat → schedule →
+//! translate → peephole → finalize) under a wear-profile best-of; see
 //! [`crate::pipeline`] for the pass manager and
 //! [`crate::translate`] for the node-translation rules.
 
@@ -10,7 +10,9 @@ use rlim_plim::Program;
 use rlim_rram::WriteStats;
 
 use crate::options::CompileOptions;
-use crate::pipeline::PassManager;
+use crate::pipeline::{
+    esat_candidates, esat_pick, Pass, PassManager, PipelineState, RewritePass, WearProfile,
+};
 
 /// Output of [`compile`]: the program plus the graph it was generated from.
 #[derive(Debug, Clone)]
@@ -55,17 +57,15 @@ impl CompileResult {
     }
 }
 
-/// Compiles an MIG into a PLiM program under the given options, running
-/// the standard pass pipeline.
+/// Compiles an MIG into a PLiM program under the given options.
 ///
-/// With [`CompileOptions::with_copy_reuse`] enabled the pipeline runs
-/// twice — once with copy discovery and once without — and the reuse
-/// schedule is kept only when its wear profile is pointwise no worse
-/// (`#I`, peak per-cell writes, write STDEV), so the option can only
-/// improve the paper's endurance metrics.
-/// [`CompileOptions::with_esat`] gets the same guard one level up:
-/// the equality-saturated graph is kept only when its compiled wear
-/// profile is pointwise no worse than the greedy fixed point's.
+/// The configured rewriting runs once and the back end lowers its
+/// result. [`CompileOptions::with_copy_reuse`] lowers each graph with
+/// and without copy discovery; [`CompileOptions::with_esat`] saturates
+/// once and lowers the best candidate per copy-reuse variant. Each
+/// option keeps its result only when the wear profile (`#I`, peak
+/// per-cell writes, write STDEV) is pointwise no worse than without it,
+/// so enabling one never degrades the paper's endurance metrics.
 ///
 /// # Examples
 ///
@@ -83,54 +83,56 @@ impl CompileResult {
 /// assert_eq!(result.num_rrams(), 3);
 /// ```
 pub fn compile(mig: &Mig, options: &CompileOptions) -> CompileResult {
-    let result = compile_with_copy_selection(mig, options);
-    if !options.esat {
-        return result;
-    }
-    // The extraction cost is a tree estimate, so on reconvergent graphs
-    // the saturated pick can lose to the greedy fixed point once real
-    // scheduling and allocation run. Compile the esat-off configuration
-    // too and keep the saturated result only when it is pointwise no
-    // worse on the paper's metrics — enabling `esat` never degrades
-    // `#I`, peak writes, or balance.
-    let base_options = options.with_esat(false);
-    let mut baseline = compile_with_copy_selection(mig, &base_options);
-    let (esat_stats, baseline_stats) = (result.write_stats(), baseline.write_stats());
-    if result.num_instructions() <= baseline.num_instructions()
-        && esat_stats.max <= baseline_stats.max
-        && esat_stats.stdev <= baseline_stats.stdev
-    {
-        result
+    let mut front = PipelineState::new(mig, options);
+    RewritePass.run(&mut front);
+    let graph = front.graph();
+    let plain = copy_select(options, |_| graph);
+    let candidates;
+    let (program, chosen) = if options.esat {
+        // The extraction cost is a tree estimate, so the saturated pick
+        // can lose to the greedy fixed point once real lowering runs.
+        candidates = esat_candidates(graph, options);
+        let saturated = copy_select(options, |o| esat_pick(graph, &candidates, o));
+        keep_if_no_worse(saturated, plain)
     } else {
-        baseline.options = *options;
-        baseline
+        plain
+    };
+    // Move, not copy, a winning front graph: on large graphs that copy sets peak memory.
+    let mig = if std::ptr::eq(chosen, graph) {
+        front.mig.unwrap_or_else(|| mig.clone())
+    } else {
+        chosen.clone()
+    };
+    CompileResult {
+        program,
+        mig,
+        options: *options,
     }
 }
 
-/// The pipeline run with the copy-reuse best-of applied (the inner
-/// layer of [`compile`]'s selection; esat's best-of wraps it).
-fn compile_with_copy_selection(mig: &Mig, options: &CompileOptions) -> CompileResult {
-    let result = PassManager::standard(options).run(mig, options);
+/// Lowers each copy-reuse variant's graph, keeping copy discovery only
+/// when no worse: the materialisations it elides double as implicit
+/// wear leveling, so dropping them can worsen the write distribution.
+fn copy_select<'g>(
+    options: &CompileOptions,
+    graph_for: impl Fn(&CompileOptions) -> &'g Mig,
+) -> (Program, &'g Mig) {
+    let lower = |o: &CompileOptions| {
+        let graph = graph_for(o);
+        (PassManager::lowering(o).execute(graph, o).0, graph)
+    };
+    let on = lower(options);
     if !options.copy_reuse {
-        return result;
+        return on;
     }
-    // Wear-aware selection: copy discovery always removes instructions,
-    // but on graphs with little reuse the elided materialisations double
-    // as implicit wear leveling, and dropping them can worsen the write
-    // distribution. Compile the baseline schedule too and keep the reuse
-    // one only when its wear profile is pointwise no worse — so enabling
-    // `copy_reuse` never degrades `#I`, peak writes, or balance.
-    let baseline_options = options.with_copy_reuse(false);
-    let mut baseline = PassManager::standard(&baseline_options).run(mig, &baseline_options);
-    let (reused_stats, baseline_stats) = (result.write_stats(), baseline.write_stats());
-    if result.num_instructions() <= baseline.num_instructions()
-        && reused_stats.max <= baseline_stats.max
-        && reused_stats.stdev <= baseline_stats.stdev
-    {
-        result
+    keep_if_no_worse(on, lower(&options.with_copy_reuse(false)))
+}
+
+fn keep_if_no_worse<G>(on: (Program, G), off: (Program, G)) -> (Program, G) {
+    if WearProfile::of(&on.0).no_worse_than(&WearProfile::of(&off.0)) {
+        on
     } else {
-        baseline.options = *options;
-        baseline
+        off
     }
 }
 

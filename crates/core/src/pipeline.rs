@@ -122,7 +122,8 @@ impl PassManager {
     }
 
     /// The standard pipeline for `options`: rewrite (when configured) →
-    /// schedule → translate → peephole (when enabled) → finalize.
+    /// esat (when enabled) → schedule → translate → peephole (when
+    /// enabled) → finalize.
     pub fn standard(options: &CompileOptions) -> Self {
         let mut manager = PassManager::new();
         if options.rewriting.is_some() {
@@ -131,6 +132,14 @@ impl PassManager {
         if options.esat {
             manager.push(Box::new(EsatPass));
         }
+        manager.passes.extend(PassManager::lowering(options).passes);
+        manager
+    }
+
+    /// The back end for `options` on the graph as given: schedule →
+    /// translate → peephole (when enabled) → finalize.
+    pub(crate) fn lowering(options: &CompileOptions) -> Self {
+        let mut manager = PassManager::new();
         manager.push(Box::new(SchedulePass));
         manager.push(Box::new(crate::translate::TranslatePass));
         if options.peephole {
@@ -145,11 +154,7 @@ impl PassManager {
     /// as given. This is what the naive column and the self-hosted
     /// controller's reference translator use.
     pub fn baseline() -> Self {
-        let mut manager = PassManager::new();
-        manager.push(Box::new(SchedulePass));
-        manager.push(Box::new(crate::translate::TranslatePass));
-        manager.push(Box::new(FinalizePass));
-        manager
+        PassManager::lowering(&CompileOptions::naive())
     }
 
     /// Appends a pass.
@@ -168,23 +173,25 @@ impl PassManager {
     ///
     /// Panics if the pipeline contains no pass that emits a program.
     pub fn run(&self, mig: &Mig, options: &CompileOptions) -> CompileResult {
+        let (program, rewritten) = self.execute(mig, options);
+        CompileResult {
+            program,
+            mig: rewritten.unwrap_or_else(|| mig.clone()),
+            options: *options,
+        }
+    }
+
+    /// Runs every pass over a fresh state: the emitted program, and the
+    /// rewritten graph if a pass replaced `mig` (never a copy of `mig`).
+    pub(crate) fn execute(&self, mig: &Mig, options: &CompileOptions) -> (Program, Option<Mig>) {
         let mut state = PipelineState::new(mig, options);
         for pass in &self.passes {
             pass.run(&mut state);
         }
         let program = state
             .program
-            .take()
             .expect("pipeline must contain a translate pass");
-        let graph = match state.mig.take() {
-            Some(rewritten) => rewritten,
-            None => mig.clone(),
-        };
-        CompileResult {
-            program,
-            mig: graph,
-            options: *options,
-        }
+        (program, state.mig)
     }
 }
 
@@ -233,9 +240,35 @@ impl Pass for RewritePass {
     }
 }
 
+/// A compiled program's `#I`, max per-cell writes and write STDEV: what
+/// every best-of in the compiler compares, pointwise.
+#[derive(Debug)]
+pub(crate) struct WearProfile {
+    instructions: usize,
+    max_writes: u64,
+    stdev: f64,
+}
+
+impl WearProfile {
+    pub(crate) fn of(program: &Program) -> Self {
+        let stats = program.write_stats();
+        WearProfile {
+            instructions: program.num_instructions(),
+            max_writes: stats.max,
+            stdev: stats.stdev,
+        }
+    }
+
+    pub(crate) fn no_worse_than(&self, other: &Self) -> bool {
+        self.instructions <= other.instructions
+            && self.max_writes <= other.max_writes
+            && self.stdev <= other.stdev
+    }
+}
+
 /// Equality saturation over the Ω rules with weighted-cost extraction.
 ///
-/// Runs up to [`ESAT_ROUNDS`] saturate → extract → polish rounds.
+/// Runs up to `ESAT_ROUNDS` (3) saturate → extract → polish rounds.
 /// Each round loads the current graph into an e-graph, saturates the
 /// shared Ω rule descriptions within the configured node/iteration
 /// budgets, and extracts the cheapest realization anchored at the
@@ -255,8 +288,8 @@ impl Pass for RewritePass {
 /// translate → finalize under the same options) and the pass keeps the
 /// pointwise-best graph on the paper's metrics — `#I`, max per-cell
 /// writes, write-count standard deviation — with ties keeping the
-/// earlier graph. [`crate::compile`] additionally guards the final
-/// result with the same best-of against the unsaturated pipeline.
+/// earlier graph. [`crate::compile`] additionally guards the result
+/// with the same best-of against the unsaturated pipeline.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct EsatPass;
 
@@ -272,53 +305,62 @@ impl Pass for EsatPass {
     }
 
     fn run(&self, state: &mut PipelineState<'_>) {
-        use rlim_egraph::{
-            extract_around, saturate as egraph_saturate, Budget, CostWeights, EGraph,
-        };
-
-        let budget = Budget {
-            max_nodes: state.options.esat_nodes as usize,
-            max_iters: state.options.esat_iters as usize,
-        };
-        let rules = rlim_mig::rewrite::rules::omega_rules();
-        let weights = match state.options.allocation {
-            crate::options::Allocation::MinWrite => CostWeights::endurance(),
-            crate::options::Allocation::Lifo => CostWeights::area(),
-        };
-        let score = |g: &Mig| -> (usize, u64, f64) {
-            let r = PassManager::baseline().run(g, state.options);
-            let s = r.write_stats();
-            (r.num_instructions(), s.max, s.stdev)
-        };
-        let mut cur = state.graph().clone();
-        let mut best_score = score(&cur);
-        let mut best = cur.clone();
-        for _ in 0..ESAT_ROUNDS {
-            let before = cur.fingerprint();
-            let (mut eg, outputs, classes) = EGraph::from_mig_with_classes(&cur);
-            egraph_saturate(&mut eg, &rules, &budget);
-            let raw = extract_around(&eg, &outputs, &weights, &cur, &classes);
-            let polished = match state.options.rewriting {
-                Some(algorithm) => rewrite(&raw, algorithm, state.options.effort),
-                None => raw.clone(),
-            };
-            for cand in [&raw, &polished] {
-                let sc = score(cand);
-                let no_worse = sc.0 <= best_score.0 && sc.1 <= best_score.1 && sc.2 <= best_score.2;
-                let strictly_better =
-                    sc.0 < best_score.0 || sc.1 < best_score.1 || sc.2 < best_score.2;
-                if no_worse && strictly_better {
-                    best_score = sc;
-                    best = cand.clone();
-                }
-            }
-            cur = polished;
-            if cur.fingerprint() == before {
-                break;
-            }
-        }
-        state.mig = Some(best);
+        let graph = state.graph();
+        let candidates = esat_candidates(graph, state.options);
+        state.mig = Some(esat_pick(graph, &candidates, state.options).clone());
     }
+}
+
+/// [`EsatPass`]'s round candidates from `graph`, raw then polished per
+/// round; they read neither copy-reuse nor the peephole.
+pub(crate) fn esat_candidates(graph: &Mig, options: &CompileOptions) -> Vec<Mig> {
+    use rlim_egraph::{extract_around, saturate as egraph_saturate, Budget, CostWeights, EGraph};
+
+    let budget = Budget {
+        max_nodes: options.esat_nodes as usize,
+        max_iters: options.esat_iters as usize,
+    };
+    let rules = rlim_mig::rewrite::rules::omega_rules();
+    let weights = match options.allocation {
+        crate::options::Allocation::MinWrite => CostWeights::endurance(),
+        crate::options::Allocation::Lifo => CostWeights::area(),
+    };
+    let mut candidates: Vec<Mig> = Vec::with_capacity(2 * ESAT_ROUNDS);
+    for _ in 0..ESAT_ROUNDS {
+        let cur = candidates.last().unwrap_or(graph);
+        let before = cur.fingerprint();
+        let (mut eg, outputs, classes) = EGraph::from_mig_with_classes(cur);
+        egraph_saturate(&mut eg, &rules, &budget);
+        let raw = extract_around(&eg, &outputs, &weights, cur, &classes);
+        let polished = match options.rewriting {
+            Some(algorithm) => rewrite(&raw, algorithm, options.effort),
+            None => raw.clone(),
+        };
+        let fixed_point = polished.fingerprint() == before;
+        candidates.extend([raw, polished]);
+        if fixed_point {
+            break;
+        }
+    }
+    candidates
+}
+
+/// [`EsatPass`]'s pick under `options`: a candidate replaces the
+/// incumbent (at first `graph`) only when strictly better.
+pub(crate) fn esat_pick<'a>(
+    graph: &'a Mig,
+    candidates: &'a [Mig],
+    options: &CompileOptions,
+) -> &'a Mig {
+    let score = |g: &Mig| WearProfile::of(&PassManager::baseline().execute(g, options).0);
+    let mut best = (graph, score(graph));
+    for cand in candidates {
+        let profile = score(cand);
+        if profile.no_worse_than(&best.1) && !best.1.no_worse_than(&profile) {
+            best = (cand, profile);
+        }
+    }
+    best.0
 }
 
 /// Fixes the node translation order under the configured selection policy.
@@ -454,6 +496,65 @@ mod tests {
             assert!(seen.insert(*n), "{n} scheduled twice");
         }
         assert!(state.fanout.is_some(), "fanout shared with translation");
+    }
+
+    #[test]
+    fn wear_profile_is_the_pointwise_order() {
+        let base = WearProfile {
+            instructions: 10,
+            max_writes: 4,
+            stdev: 1.5,
+        };
+        assert!(base.no_worse_than(&base), "equal profiles tie");
+        for worse in [
+            WearProfile {
+                instructions: 11,
+                ..base
+            },
+            WearProfile {
+                max_writes: 5,
+                ..base
+            },
+            WearProfile {
+                stdev: 1.75,
+                ..base
+            },
+        ] {
+            assert!(!worse.no_worse_than(&base), "{worse:?} regresses");
+            assert!(base.no_worse_than(&worse));
+        }
+    }
+
+    #[test]
+    fn esat_pick_keeps_the_earlier_graph_on_ties() {
+        let mig = adder();
+        let options = CompileOptions::naive();
+        // Two copies of the input score alike: neither replaces it.
+        let candidates = [mig.clone(), mig.clone()];
+        assert!(std::ptr::eq(esat_pick(&mig, &candidates, &options), &mig));
+        // A strictly better candidate wins; a later tie does not displace it.
+        let maj_chain = |second_gate: bool| {
+            let mut g = Mig::new(3);
+            let [a, b, c] = [g.input(0), g.input(1), g.input(2)];
+            let mut m = g.add_maj(a, !b, c);
+            if second_gate {
+                m = g.add_maj(m, a, !b);
+            }
+            g.add_output(m);
+            g
+        };
+        let (two, one) = (maj_chain(true), maj_chain(false));
+        let profile = |g: &Mig| WearProfile::of(&PassManager::baseline().run(g, &options).program);
+        assert!(profile(&one).no_worse_than(&profile(&two)));
+        assert!(
+            !profile(&two).no_worse_than(&profile(&one)),
+            "fixture improves"
+        );
+        let candidates = [one.clone(), one];
+        assert!(std::ptr::eq(
+            esat_pick(&two, &candidates, &options),
+            &candidates[0]
+        ));
     }
 
     #[test]

@@ -130,6 +130,14 @@ impl Json {
         Json::Float { value, precision }
     }
 
+    /// The value under `key` when `self` is an object holding it.
+    pub fn get(&self, key: &str) -> Option<&Json> {
+        match self {
+            Json::Object(entries) => entries.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
     /// Renders the value as pretty-printed JSON (two-space indent, no
     /// trailing newline).
     pub fn render(&self) -> String {

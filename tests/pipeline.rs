@@ -5,7 +5,8 @@
 use proptest::prelude::*;
 use rlim::benchmarks::Benchmark;
 use rlim::compiler::{
-    compile, Backend, CompileOptions, HostedRm3Backend, ImpBackend, PassManager, Rm3Backend,
+    compile, Backend, CompileOptions, CompileResult, HostedRm3Backend, ImpBackend, PassManager,
+    Rm3Backend,
 };
 use rlim::mig::random::{generate, RandomMigConfig};
 use rlim::mig::Mig;
@@ -206,6 +207,80 @@ proptest! {
             prop_assert_eq!(&Rm3Backend.execute(&rm3, &inputs).unwrap(), &expect);
             prop_assert_eq!(&HostedRm3Backend.execute(&rm3, &inputs).unwrap(), &expect);
             prop_assert_eq!(&ImpBackend.execute(&imp, &inputs).unwrap(), &expect);
+        }
+    }
+}
+
+/// The nested best-of selection `compile` is pinned against: the whole
+/// standard pipeline once per copy-reuse variant, then once more per
+/// variant with saturation off, each guard keeping the option-on result
+/// only when its (`#I`, max per-cell writes, write stdev) profile is
+/// pointwise no worse.
+fn reference_compile(mig: &Mig, options: &CompileOptions) -> CompileResult {
+    let result = reference_copy_selection(mig, options);
+    if !options.esat {
+        return result;
+    }
+    let base_options = options.with_esat(false);
+    let mut baseline = reference_copy_selection(mig, &base_options);
+    let (esat_stats, baseline_stats) = (result.write_stats(), baseline.write_stats());
+    if result.num_instructions() <= baseline.num_instructions()
+        && esat_stats.max <= baseline_stats.max
+        && esat_stats.stdev <= baseline_stats.stdev
+    {
+        result
+    } else {
+        baseline.options = *options;
+        baseline
+    }
+}
+
+fn reference_copy_selection(mig: &Mig, options: &CompileOptions) -> CompileResult {
+    let result = PassManager::standard(options).run(mig, options);
+    if !options.copy_reuse {
+        return result;
+    }
+    let baseline_options = options.with_copy_reuse(false);
+    let mut baseline = PassManager::standard(&baseline_options).run(mig, &baseline_options);
+    let (reused_stats, baseline_stats) = (result.write_stats(), baseline.write_stats());
+    if result.num_instructions() <= baseline.num_instructions()
+        && reused_stats.max <= baseline_stats.max
+        && reused_stats.stdev <= baseline_stats.stdev
+    {
+        result
+    } else {
+        baseline.options = *options;
+        baseline
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// `compile` picks exactly what the nested reference selection picks
+    /// — same program, same graph — under every canonical preset with
+    /// saturation, copy-reuse and the peephole in each combination the
+    /// selection distinguishes.
+    #[test]
+    fn compile_matches_the_nested_reference_selection(mig in mig_strategy()) {
+        for &name in CompileOptions::preset_names() {
+            let preset = CompileOptions::preset(name)
+                .expect("canonical preset")
+                .with_esat_nodes(2_000)
+                .with_esat_iters(2);
+            let esat = preset.with_esat(true);
+            for options in [
+                esat,
+                esat.with_copy_reuse(true),
+                esat.with_copy_reuse(true).with_peephole(true),
+                preset.with_copy_reuse(true),
+            ] {
+                let got = compile(&mig, &options);
+                let want = reference_compile(&mig, &options);
+                prop_assert_eq!(&got.program, &want.program, "{} {:?}", name, options);
+                prop_assert_eq!(got.mig.fingerprint(), want.mig.fingerprint());
+                prop_assert_eq!(got.options, options);
+            }
         }
     }
 }

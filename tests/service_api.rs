@@ -243,9 +243,9 @@ fn report_json_golden_document() {
 // ---- Bench-DB golden schema -----------------------------------------------
 
 /// The exact on-disk text of a bench-DB record — field order, float
-/// precision and indentation are all load-bearing (the DB reader
-/// line-scrapes this shape, and committed history must stay
-/// diff-stable). Bump deliberately, never accidentally.
+/// precision and indentation are all load-bearing (appends splice text
+/// after this shape, and committed history must stay diff-stable). Bump
+/// deliberately, never accidentally.
 const BENCH_DB_GOLDEN: &str = "\
 [
   {
