@@ -1,10 +1,15 @@
 //! The daemon's compile cache: finished [`Report`]s keyed by the full
 //! semantic identity of a job.
 //!
-//! The key is `(Strash source fingerprint, CompileClass, CompileOptions,
-//! fleet/chaos rider, program/projection riders)` — see [`cache_key`].
-//! Three consequences fall out of that derivation:
+//! The key is derived, not hand-written: the Strash source fingerprint
+//! and the backend's compile class, followed by the compact canonical
+//! wire line of every other spec field — options, fleet/chaos rider,
+//! program and projection riders (see [`cache_key`]). The consequences:
 //!
+//! * **No field can be left out.** The wire encoding is the one place
+//!   a spec field is spelled, so a field the wire carries is part of
+//!   the key by construction; there is no per-field list here to keep
+//!   in step with [`rlim_compiler::CompileOptions`] or the riders.
 //! * **Backend-class sharing.** `rm3`, `hosted-rm3` and `rm3-wide`
 //!   execute the same compiled program, so they share one entry, exactly
 //!   as [`rlim_service::Service::run_batch`]'s in-batch dedup shares one
@@ -13,11 +18,14 @@
 //! * **Source-identity, not source-spelling.** The fingerprint hashes
 //!   the graph structure ([`rlim_mig::Mig::fingerprint`]), so a BLIF
 //!   file that parses to the same graph as a named benchmark hits the
-//!   benchmark's entry.
-//! * **Riders are identity.** A fleet/chaos rider (including the fault
-//!   seed, encoded bit-exactly) is part of the key: a chaos run is never
+//!   benchmark's entry — and an in-memory graph, which has no wire
+//!   form, still gets a key.
+//! * **Riders are identity, floats exactly.** A chaos run is never
 //!   served a fault-free cached fleet section, and two runs differing
-//!   only in `--fault-seed` miss each other's entries.
+//!   only in `--fault-seed` miss each other's entries. The chaos floats
+//!   enter the key as the fixed-place decimals the wire writes; the
+//!   wire decoder accepts no other spelling, so two distinct values
+//!   that can arrive over the wire never share a key.
 //!
 //! Eviction is least-recently-used over a bounded entry count, with
 //! hit/miss/eviction counters surfaced through the `metrics` verb.
@@ -26,7 +34,7 @@ use std::collections::HashMap;
 
 use rlim_service::{JobSpec, Report};
 
-use crate::wire::{algorithm_name, allocation_name, selection_name};
+use crate::wire;
 
 /// Cache observability counters, serialized inside the `metrics` verb's
 /// payload (deliberately *not* inside reports, so a cache hit stays
@@ -46,61 +54,21 @@ pub struct CacheStats {
 }
 
 /// The derived cache key for a job: `fingerprint` is the source graph's
-/// structural hash, everything else comes from the spec. Floats are
-/// rendered as exact bit patterns so no two distinct chaos models can
-/// ever share a key.
+/// structural hash, and the rest is the compile class followed by the
+/// compact canonical wire encoding of every spec field except `source`
+/// and `backend` (`options`, `fleet`, `program`, `projection_arrays`).
+///
+/// Because the key *is* the wire encoding, a field the wire carries
+/// cannot be missing from it, and the key separates exactly the specs
+/// the wire separates. The wire decoder accepts each chaos float only
+/// as the fixed-place decimal the encoder writes, so for every spec
+/// that can arrive over the wire distinct values render distinctly.
 pub fn cache_key(fingerprint: u128, spec: &JobSpec) -> String {
-    use std::fmt::Write as _;
-
-    let o = spec.options();
-    let mut key = format!(
-        "src={fingerprint:032x};class={};rw={};effort={};sel={};alloc={};maxw={:?};peep={};copy={};esat={};esatn={};esati={};prog={};proj={}",
+    format!(
+        "src={fingerprint:032x};class={};{}",
         spec.backend().class().name(),
-        o.rewriting.map_or("none", algorithm_name),
-        o.effort,
-        selection_name(o.selection),
-        allocation_name(o.allocation),
-        o.max_writes,
-        o.peephole,
-        o.copy_reuse,
-        o.esat,
-        o.esat_nodes,
-        o.esat_iters,
-        spec.includes_program(),
-        spec.projection_arrays(),
-    );
-    match spec.fleet() {
-        None => key.push_str(";fleet=none"),
-        Some(f) => {
-            let _ = write!(
-                key,
-                ";fleet={{arrays={};jobs={};dispatch={};budget={:?};inputs={:?};simd={}",
-                f.arrays,
-                f.jobs,
-                f.dispatch.label(),
-                f.write_budget,
-                f.input_seed,
-                f.simd,
-            );
-            match &f.chaos {
-                None => key.push_str(";chaos=none}"),
-                Some(c) => {
-                    let _ = write!(
-                        key,
-                        ";chaos={{seed={};median={:016x};sigma={:016x};stuck={:016x};rec={};spares={};maxf={}}}}}",
-                        c.fault_seed,
-                        c.endurance_median.to_bits(),
-                        c.endurance_sigma.to_bits(),
-                        c.stuck_probability.to_bits(),
-                        c.recovery,
-                        c.spares,
-                        c.max_faults,
-                    );
-                }
-            }
-        }
-    }
-    key
+        wire::job_identity(spec)
+    )
 }
 
 /// The bounded LRU report cache. Not internally synchronized — the
@@ -226,6 +194,8 @@ mod tests {
         // The source label is *not* part of the key — identity comes
         // from the fingerprint alone.
         assert_eq!(rm3, cache_key(fp, &JobSpec::blif_path("/some/file.blif")));
+        // An in-memory graph has no wire form but still gets a key.
+        assert_eq!(rm3, cache_key(fp, &JobSpec::mig(rlim_mig::Mig::new(2))));
         assert_ne!(rm3, cache_key(8, &JobSpec::benchmark(Benchmark::Ctrl)));
     }
 
@@ -267,8 +237,8 @@ mod tests {
             .clone()
             .with_options(base.options().with_copy_reuse(true));
         assert_ne!(cache_key(fp, &base), cache_key(fp, &reuse));
-        assert!(cache_key(fp, &base).contains(";copy=false;"));
-        assert!(cache_key(fp, &reuse).contains(";copy=true;"));
+        assert!(cache_key(fp, &base).contains("\"copy_reuse\":false,"));
+        assert!(cache_key(fp, &reuse).contains("\"copy_reuse\":true,"));
     }
 
     #[test]
@@ -281,8 +251,8 @@ mod tests {
         let base = JobSpec::benchmark(Benchmark::Ctrl);
         let esat = base.clone().with_options(base.options().with_esat(true));
         assert_ne!(cache_key(fp, &base), cache_key(fp, &esat));
-        assert!(cache_key(fp, &base).contains(";esat=false;"));
-        assert!(cache_key(fp, &esat).contains(";esat=true;"));
+        assert!(cache_key(fp, &base).contains("\"esat\":false,"));
+        assert!(cache_key(fp, &esat).contains("\"esat\":true,"));
         let narrow = base
             .clone()
             .with_options(base.options().with_esat(true).with_esat_nodes(1_000));

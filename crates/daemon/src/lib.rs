@@ -6,8 +6,9 @@
 //! line — a bare report document for jobs, a single-key envelope
 //! (`rejected`, `error`, `metrics`, `healthz`, `shutdown`) for
 //! everything else. The protocol is serde-free on both sides: it reuses
-//! the service crate's own [`rlim_service::json::Json`] writer/parser,
-//! and the exact bytes are pinned by goldens in `tests/service_api.rs`.
+//! the service crate's own [`rlim_service::json::Json`] writer/parser
+//! and its [`rlim_service::json::Fields`] reader, and the exact bytes
+//! are pinned by goldens in `tests/service_api.rs`.
 //!
 //! Architecture, end to end:
 //!
@@ -17,10 +18,12 @@
 //!   [`BoundedQueue`] — a full queue answers `rejected` immediately
 //!   (admission control) without disturbing in-flight work;
 //! * workers drain the queue through a [`ReportCache`] keyed by
-//!   [`cache_key`] — the source graph's structural fingerprint plus the
-//!   compile class, options and fleet/chaos riders — so repeat jobs are
-//!   answered byte-identically (modulo the report's `cached` flag)
-//!   without recompiling;
+//!   [`cache_key`] — the source graph's structural fingerprint and the
+//!   compile class, followed by the spec's own canonical wire encoding
+//!   minus source and backend (options and every rider) — so repeat
+//!   jobs are answered byte-identically (modulo the report's `cached`
+//!   flag) without recompiling, and no option can be missing from the
+//!   key;
 //! * the `shutdown` verb (or a [`ShutdownTrigger`]) stops accepting,
 //!   drains the queue and lets [`DaemonHandle::join`] return the final
 //!   counters for a clean exit 0.

@@ -10,15 +10,24 @@
 //!
 //! The codec is a strict inverse pair: [`decode_spec`] accepts exactly
 //! the documents [`encode_spec`] produces (any key order, but the exact
-//! key set), and re-encoding a decoded spec reproduces the canonical
-//! line byte-for-byte. That property is pinned by a proptest mirroring
-//! the CLI's argv ↔ `JobSpec` round-trip.
+//! key set, exact value kinds, and the chaos floats only as the
+//! fixed-place decimals the encoder writes), and re-encoding a decoded
+//! spec reproduces the canonical line byte-for-byte. That property is
+//! pinned by a proptest mirroring the CLI's argv ↔ `JobSpec` round-trip.
+//! The one leniency is that enum names are read through each type's
+//! `FromStr`, so `DispatchPolicy`'s short aliases (`rr`, `lw`) decode
+//! and re-encode under their canonical names.
+//!
+//! Because the canonical line is exact, it doubles as the daemon's job
+//! identity: [`crate::cache_key`] is the compact encoding of every spec
+//! field below `source` and `backend`, so a field added to the wire is
+//! part of the key by construction. A report's `policy` object decodes
+//! through the same options reader as the spec's `options`, and every
+//! decoder reads its objects through [`Fields`].
 
-use rlim_compiler::{Allocation, CompileOptions, Selection};
-use rlim_mig::rewrite::Algorithm;
-use rlim_plim::DispatchPolicy;
+use rlim_compiler::CompileOptions;
 use rlim_rram::WriteStats;
-use rlim_service::json::{self, Json};
+use rlim_service::json::{self, Fields, Json};
 use rlim_service::{
     BackendKind, ChaosSpec, CircuitSummary, Error, FleetSpec, JobSpec, LifetimeProjection, Report,
     Source,
@@ -30,6 +39,52 @@ use crate::metrics::{Health, MetricsSnapshot};
 /// report's `fault` section: median at 1, spreads at 4).
 const MEDIAN_PRECISION: usize = 1;
 const SIGMA_PRECISION: usize = 4;
+
+/// Decimal places of the report's write statistics (`writes.mean`,
+/// `writes.stdev`).
+const STATS_PRECISION: usize = 4;
+
+const SPEC_KEYS: [&str; 6] = [
+    "source",
+    "backend",
+    "options",
+    "fleet",
+    "program",
+    "projection_arrays",
+];
+
+const OPTION_KEYS: [&str; 10] = [
+    "rewriting",
+    "effort",
+    "selection",
+    "allocation",
+    "max_writes",
+    "peephole",
+    "copy_reuse",
+    "esat",
+    "esat_nodes",
+    "esat_iters",
+];
+
+const FLEET_KEYS: [&str; 7] = [
+    "arrays",
+    "jobs",
+    "dispatch",
+    "write_budget",
+    "input_seed",
+    "simd",
+    "chaos",
+];
+
+const CHAOS_KEYS: [&str; 7] = [
+    "fault_seed",
+    "endurance_median",
+    "endurance_sigma",
+    "stuck_probability",
+    "recovery",
+    "spares",
+    "max_faults",
+];
 
 /// One request line, decoded.
 #[derive(Debug, Clone, PartialEq)]
@@ -95,137 +150,14 @@ fn invalid(message: impl Into<String>) -> Error {
     Error::InvalidRequest(message.into())
 }
 
-// ---- field access helpers ----------------------------------------------
-
-fn entries<'a>(json: &'a Json, ctx: &str) -> Result<&'a [(String, Json)], Error> {
-    match json {
-        Json::Object(entries) => Ok(entries),
-        _ => Err(invalid(format!("{ctx}: expected an object"))),
-    }
-}
-
-fn field<'a>(obj: &'a [(String, Json)], key: &str, ctx: &str) -> Result<&'a Json, Error> {
-    obj.iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v)
-        .ok_or_else(|| invalid(format!("{ctx}: missing key `{key}`")))
-}
-
-/// Strictness check: every present key must be expected (missing keys
-/// are caught by [`field`]), so typos fail loudly instead of silently
-/// falling back to defaults.
-fn expect_keys(obj: &[(String, Json)], expected: &[&str], ctx: &str) -> Result<(), Error> {
-    for (key, _) in obj {
-        if !expected.contains(&key.as_str()) {
-            return Err(invalid(format!("{ctx}: unknown key `{key}`")));
-        }
-    }
-    Ok(())
-}
-
-fn as_u64(json: &Json, ctx: &str) -> Result<u64, Error> {
-    match json {
-        Json::UInt(v) => Ok(*v),
-        _ => Err(invalid(format!("{ctx}: expected an unsigned integer"))),
-    }
-}
-
-fn as_usize(json: &Json, ctx: &str) -> Result<usize, Error> {
-    usize::try_from(as_u64(json, ctx)?).map_err(|_| invalid(format!("{ctx}: value out of range")))
-}
-
-fn as_bool(json: &Json, ctx: &str) -> Result<bool, Error> {
-    match json {
-        Json::Bool(b) => Ok(*b),
-        _ => Err(invalid(format!("{ctx}: expected a boolean"))),
-    }
-}
-
-fn as_str<'a>(json: &'a Json, ctx: &str) -> Result<&'a str, Error> {
-    match json {
-        Json::Str(s) => Ok(s),
-        _ => Err(invalid(format!("{ctx}: expected a string"))),
-    }
-}
-
-fn as_f64(json: &Json, ctx: &str) -> Result<f64, Error> {
-    match json {
-        Json::Float { value, .. } => Ok(*value),
-        Json::UInt(v) => Ok(*v as f64),
-        Json::Int(v) => Ok(*v as f64),
-        _ => Err(invalid(format!("{ctx}: expected a number"))),
-    }
-}
-
-fn opt<T>(
-    json: &Json,
-    convert: impl FnOnce(&Json) -> Result<T, Error>,
-) -> Result<Option<T>, Error> {
-    match json {
-        Json::Null => Ok(None),
-        other => convert(other).map(Some),
-    }
-}
-
-// ---- option / policy vocabularies --------------------------------------
-
-pub(crate) fn algorithm_name(a: Algorithm) -> &'static str {
-    match a {
-        Algorithm::PlimCompiler => "plim-compiler",
-        Algorithm::EnduranceAware => "endurance-aware",
-        Algorithm::LevelAware => "level-aware",
-    }
-}
-
-fn parse_algorithm(s: &str) -> Result<Algorithm, Error> {
-    match s {
-        "plim-compiler" => Ok(Algorithm::PlimCompiler),
-        "endurance-aware" => Ok(Algorithm::EnduranceAware),
-        "level-aware" => Ok(Algorithm::LevelAware),
-        other => Err(invalid(format!("unknown rewriting algorithm `{other}`"))),
-    }
-}
-
-pub(crate) fn selection_name(s: Selection) -> &'static str {
-    match s {
-        Selection::Topological => "topological",
-        Selection::AreaAware => "area-aware",
-        Selection::EnduranceAware => "endurance-aware",
-    }
-}
-
-fn parse_selection(s: &str) -> Result<Selection, Error> {
-    match s {
-        "topological" => Ok(Selection::Topological),
-        "area-aware" => Ok(Selection::AreaAware),
-        "endurance-aware" => Ok(Selection::EnduranceAware),
-        other => Err(invalid(format!("unknown selection policy `{other}`"))),
-    }
-}
-
-pub(crate) fn allocation_name(a: Allocation) -> &'static str {
-    match a {
-        Allocation::Lifo => "lifo",
-        Allocation::MinWrite => "min-write",
-    }
-}
-
-fn parse_allocation(s: &str) -> Result<Allocation, Error> {
-    match s {
-        "lifo" => Ok(Allocation::Lifo),
-        "min-write" => Ok(Allocation::MinWrite),
-        other => Err(invalid(format!("unknown allocation policy `{other}`"))),
-    }
-}
-
 // ---- spec encoding ------------------------------------------------------
 
 fn options_json(o: &CompileOptions) -> Json {
     Json::object([
-        ("rewriting", Json::from(o.rewriting.map(algorithm_name))),
+        ("rewriting", Json::from(o.rewriting.map(|a| a.name()))),
         ("effort", Json::from(o.effort)),
-        ("selection", Json::from(selection_name(o.selection))),
-        ("allocation", Json::from(allocation_name(o.allocation))),
+        ("selection", Json::from(o.selection.name())),
+        ("allocation", Json::from(o.allocation.name())),
         ("max_writes", Json::from(o.max_writes)),
         ("peephole", Json::from(o.peephole)),
         ("copy_reuse", Json::from(o.copy_reuse)),
@@ -268,6 +200,25 @@ fn fleet_json(f: &FleetSpec) -> Json {
     ])
 }
 
+/// The spec's fields below its source and backend, in wire order.
+fn job_fields(spec: &JobSpec) -> [(&'static str, Json); 4] {
+    [
+        ("options", options_json(spec.options())),
+        ("fleet", spec.fleet().map_or(Json::Null, fleet_json)),
+        ("program", Json::from(spec.includes_program())),
+        ("projection_arrays", Json::from(spec.projection_arrays())),
+    ]
+}
+
+/// The compact canonical encoding of everything in `spec` except its
+/// source and backend — `{"options":…,"fleet":…,"program":…,
+/// "projection_arrays":…}`, exactly as those fields appear in the
+/// [`encode_spec`] line. Defined for every source, [`Source::Mig`]
+/// included.
+pub(crate) fn job_identity(spec: &JobSpec) -> String {
+    Json::object(job_fields(spec)).render_compact()
+}
+
 /// Encodes a spec as the wire's canonical `spec` object.
 ///
 /// # Errors
@@ -286,14 +237,11 @@ pub fn encode_spec(spec: &JobSpec) -> Result<Json, Error> {
             ))
         }
     };
-    Ok(Json::object([
+    let head = [
         ("source", source),
         ("backend", Json::from(spec.backend().name())),
-        ("options", options_json(spec.options())),
-        ("fleet", spec.fleet().map_or(Json::Null, fleet_json)),
-        ("program", Json::from(spec.includes_program())),
-        ("projection_arrays", Json::from(spec.projection_arrays())),
-    ]))
+    ];
+    Ok(Json::object(head.into_iter().chain(job_fields(spec))))
 }
 
 /// Encodes a request as one compact wire line (no trailing newline).
@@ -316,131 +264,78 @@ pub fn encode_request(request: &Request) -> Result<String, Error> {
 
 // ---- spec decoding ------------------------------------------------------
 
-fn decode_options(json: &Json) -> Result<CompileOptions, Error> {
-    let obj = entries(json, "options")?;
-    expect_keys(
-        obj,
-        &[
-            "rewriting",
-            "effort",
-            "selection",
-            "allocation",
-            "max_writes",
-            "peephole",
-            "copy_reuse",
-            "esat",
-            "esat_nodes",
-            "esat_iters",
-        ],
-        "options",
-    )?;
-    let rewriting = opt(field(obj, "rewriting", "options")?, |j| {
-        parse_algorithm(as_str(j, "options.rewriting")?)
-    })?;
-    let max_writes = opt(field(obj, "max_writes", "options")?, |j| {
-        as_u64(j, "options.max_writes")
-    })?;
-    if let Some(w) = max_writes {
-        if w < 3 {
-            return Err(invalid("options.max_writes must be at least 3"));
-        }
+/// Reads an options object: a wire spec's `options` (`read_only` empty)
+/// or a report's `policy` (`read_only = ["preset"]`, a derived key that
+/// is accepted and ignored).
+fn read_options(o: &Fields<'_>, read_only: &[&str]) -> Result<CompileOptions, String> {
+    o.exact_keys(OPTION_KEYS.iter().chain(read_only).copied())?;
+    let max_writes = o.optional("max_writes", Fields::u64)?;
+    if max_writes.is_some_and(|w| w < 3) {
+        return Err(o.invalid("max_writes", "must be at least 3"));
     }
-    let esat_budget = |key: &str, ctx: &str| -> Result<u32, Error> {
-        let v = as_u64(field(obj, key, "options")?, ctx)?;
-        match u32::try_from(v) {
-            Ok(n) if n > 0 => Ok(n),
-            _ => Err(invalid(format!("{ctx} must be a positive 32-bit value"))),
-        }
+    let budget = |key: &str| match u32::try_from(o.u64(key)?) {
+        Ok(n) if n > 0 => Ok(n),
+        _ => Err(o.invalid(key, "must be a positive 32-bit value")),
     };
     Ok(CompileOptions {
-        rewriting,
-        effort: as_usize(field(obj, "effort", "options")?, "options.effort")?,
-        selection: parse_selection(as_str(
-            field(obj, "selection", "options")?,
-            "options.selection",
-        )?)?,
-        allocation: parse_allocation(as_str(
-            field(obj, "allocation", "options")?,
-            "options.allocation",
-        )?)?,
+        rewriting: o.optional("rewriting", Fields::name)?,
+        effort: o.usize("effort")?,
+        selection: o.name("selection")?,
+        allocation: o.name("allocation")?,
         max_writes,
-        peephole: as_bool(field(obj, "peephole", "options")?, "options.peephole")?,
-        copy_reuse: as_bool(field(obj, "copy_reuse", "options")?, "options.copy_reuse")?,
-        esat: as_bool(field(obj, "esat", "options")?, "options.esat")?,
-        esat_nodes: esat_budget("esat_nodes", "options.esat_nodes")?,
-        esat_iters: esat_budget("esat_iters", "options.esat_iters")?,
+        peephole: o.bool("peephole")?,
+        copy_reuse: o.bool("copy_reuse")?,
+        esat: o.bool("esat")?,
+        esat_nodes: budget("esat_nodes")?,
+        esat_iters: budget("esat_iters")?,
     })
 }
 
-fn decode_chaos(json: &Json) -> Result<ChaosSpec, Error> {
-    let obj = entries(json, "chaos")?;
-    expect_keys(
-        obj,
-        &[
-            "fault_seed",
-            "endurance_median",
-            "endurance_sigma",
-            "stuck_probability",
-            "recovery",
-            "spares",
-            "max_faults",
-        ],
-        "chaos",
-    )?;
+fn read_chaos(c: &Fields<'_>) -> Result<ChaosSpec, String> {
+    c.exact_keys(CHAOS_KEYS)?;
     Ok(ChaosSpec {
-        fault_seed: as_u64(field(obj, "fault_seed", "chaos")?, "chaos.fault_seed")?,
-        endurance_median: as_f64(
-            field(obj, "endurance_median", "chaos")?,
-            "chaos.endurance_median",
-        )?,
-        endurance_sigma: as_f64(
-            field(obj, "endurance_sigma", "chaos")?,
-            "chaos.endurance_sigma",
-        )?,
-        stuck_probability: as_f64(
-            field(obj, "stuck_probability", "chaos")?,
-            "chaos.stuck_probability",
-        )?,
-        recovery: as_bool(field(obj, "recovery", "chaos")?, "chaos.recovery")?,
-        spares: as_usize(field(obj, "spares", "chaos")?, "chaos.spares")?,
-        max_faults: as_u64(field(obj, "max_faults", "chaos")?, "chaos.max_faults")?,
+        fault_seed: c.u64("fault_seed")?,
+        endurance_median: c.f64("endurance_median", MEDIAN_PRECISION)?,
+        endurance_sigma: c.f64("endurance_sigma", SIGMA_PRECISION)?,
+        stuck_probability: c.f64("stuck_probability", SIGMA_PRECISION)?,
+        recovery: c.bool("recovery")?,
+        spares: c.usize("spares")?,
+        max_faults: c.u64("max_faults")?,
     })
 }
 
-fn decode_fleet(json: &Json) -> Result<FleetSpec, Error> {
-    let obj = entries(json, "fleet")?;
-    expect_keys(
-        obj,
-        &[
-            "arrays",
-            "jobs",
-            "dispatch",
-            "write_budget",
-            "input_seed",
-            "simd",
-            "chaos",
-        ],
-        "fleet",
-    )?;
-    let arrays = as_usize(field(obj, "arrays", "fleet")?, "fleet.arrays")?;
+fn read_fleet(f: &Fields<'_>) -> Result<FleetSpec, String> {
+    f.exact_keys(FLEET_KEYS)?;
+    let arrays = f.usize("arrays")?;
     if arrays == 0 {
-        return Err(invalid("fleet.arrays must be at least 1"));
+        return Err(f.invalid("arrays", "must be at least 1"));
     }
-    let dispatch: DispatchPolicy = as_str(field(obj, "dispatch", "fleet")?, "fleet.dispatch")?
-        .parse()
-        .map_err(Error::InvalidRequest)?;
     Ok(FleetSpec {
         arrays,
-        jobs: as_usize(field(obj, "jobs", "fleet")?, "fleet.jobs")?,
-        dispatch,
-        write_budget: opt(field(obj, "write_budget", "fleet")?, |j| {
-            as_u64(j, "fleet.write_budget")
-        })?,
-        input_seed: opt(field(obj, "input_seed", "fleet")?, |j| {
-            as_u64(j, "fleet.input_seed")
-        })?,
-        simd: as_bool(field(obj, "simd", "fleet")?, "fleet.simd")?,
-        chaos: opt(field(obj, "chaos", "fleet")?, decode_chaos)?,
+        jobs: f.usize("jobs")?,
+        dispatch: f.name("dispatch")?,
+        write_budget: f.optional("write_budget", Fields::u64)?,
+        input_seed: f.optional("input_seed", Fields::u64)?,
+        simd: f.bool("simd")?,
+        chaos: f.optional("chaos", |f, key| read_chaos(&f.object(key)?))?,
+    })
+}
+
+/// Everything in a spec object below its source, applied to `job`.
+fn read_job(job: JobSpec, spec: &Fields<'_>) -> Result<JobSpec, String> {
+    let projection_arrays = spec.usize("projection_arrays")?;
+    if projection_arrays == 0 {
+        return Err(spec.invalid("projection_arrays", "must be at least 1"));
+    }
+    let fleet = spec.optional("fleet", |s, key| read_fleet(&s.object(key)?))?;
+    let job = job
+        .with_backend(spec.name("backend")?)
+        .with_options(read_options(&spec.object("options")?, &[])?)
+        .with_program_text(spec.bool("program")?)
+        .with_projection_arrays(projection_arrays);
+    Ok(match fleet {
+        Some(fleet) => job.with_fleet(fleet),
+        None => job,
     })
 }
 
@@ -450,57 +345,23 @@ fn decode_fleet(json: &Json) -> Result<FleetSpec, Error> {
 /// # Errors
 ///
 /// Returns [`Error::InvalidRequest`] on shape violations (wrong types,
-/// missing or unknown keys, out-of-range values) and
-/// [`Error::UnknownBenchmark`] for benchmark names not in the suite.
+/// missing or unknown keys, out-of-range values, chaos floats not
+/// written at their wire precision) and [`Error::UnknownBenchmark`] for
+/// benchmark names not in the suite.
 pub fn decode_spec(json: &Json) -> Result<JobSpec, Error> {
-    let obj = entries(json, "spec")?;
-    expect_keys(
-        obj,
-        &[
-            "source",
-            "backend",
-            "options",
-            "fleet",
-            "program",
-            "projection_arrays",
-        ],
-        "spec",
-    )?;
-
-    let source = entries(field(obj, "source", "spec")?, "spec.source")?;
-    let mut spec = match source {
-        [(key, value)] if key == "benchmark" => {
-            JobSpec::named_benchmark(as_str(value, "source.benchmark")?)?
-        }
-        [(key, value)] if key == "blif" => JobSpec::blif_path(as_str(value, "source.blif")?),
-        _ => {
-            return Err(invalid(
-                "spec.source must be exactly {\"benchmark\":NAME} or {\"blif\":PATH}",
-            ))
-        }
+    let spec = json.fields("spec").map_err(invalid)?;
+    spec.exact_keys(SPEC_KEYS).map_err(invalid)?;
+    let source = spec.object("source").map_err(invalid)?;
+    let job = if source.exact_keys(["benchmark"]).is_ok() {
+        JobSpec::named_benchmark(source.str("benchmark").map_err(invalid)?)?
+    } else if source.exact_keys(["blif"]).is_ok() {
+        JobSpec::blif_path(source.str("blif").map_err(invalid)?)
+    } else {
+        return Err(invalid(
+            "spec.source must be exactly {\"benchmark\":NAME} or {\"blif\":PATH}",
+        ));
     };
-
-    let backend: BackendKind = as_str(field(obj, "backend", "spec")?, "spec.backend")?
-        .parse()
-        .map_err(Error::InvalidRequest)?;
-    spec = spec
-        .with_backend(backend)
-        .with_options(decode_options(field(obj, "options", "spec")?)?)
-        .with_program_text(as_bool(field(obj, "program", "spec")?, "spec.program")?);
-
-    let projection_arrays = as_usize(
-        field(obj, "projection_arrays", "spec")?,
-        "spec.projection_arrays",
-    )?;
-    if projection_arrays == 0 {
-        return Err(invalid("spec.projection_arrays must be at least 1"));
-    }
-    spec = spec.with_projection_arrays(projection_arrays);
-
-    if let Some(fleet) = opt(field(obj, "fleet", "spec")?, decode_fleet)? {
-        spec = spec.with_fleet(fleet);
-    }
-    Ok(spec)
+    read_job(job, &spec).map_err(invalid)
 }
 
 /// Decodes one request line.
@@ -512,18 +373,18 @@ pub fn decode_spec(json: &Json) -> Result<JobSpec, Error> {
 /// structured `error` line instead of dying or hanging.
 pub fn decode_request(line: &str) -> Result<Request, Error> {
     let doc = json::parse(line).map_err(|e| invalid(format!("malformed request: {e}")))?;
-    let obj = entries(&doc, "request")?;
-    expect_keys(obj, &["verb", "spec"], "request")?;
-    let verb = as_str(field(obj, "verb", "request")?, "request.verb")?;
+    let request = doc.fields("request").map_err(invalid)?;
+    let verb = request.str("verb").map_err(invalid)?;
     match verb {
         "job" => {
-            let spec = decode_spec(field(obj, "spec", "request")?)?;
+            request.exact_keys(["verb", "spec"]).map_err(invalid)?;
+            let spec = decode_spec(request.get("spec").map_err(invalid)?)?;
             Ok(Request::Job(Box::new(spec)))
         }
         "metrics" | "healthz" | "shutdown" => {
-            if obj.len() != 1 {
-                return Err(invalid(format!("`{verb}` requests carry no other keys")));
-            }
+            request
+                .exact_keys(["verb"])
+                .map_err(|_| invalid(format!("`{verb}` requests carry no other keys")))?;
             Ok(match verb {
                 "metrics" => Request::Metrics,
                 "healthz" => Request::Healthz,
@@ -588,9 +449,8 @@ pub fn shutdown_line() -> String {
 /// the protocol's response shapes — a daemon bug or a non-daemon peer.
 pub fn decode_response(line: &str) -> Result<Response, Error> {
     let doc = json::parse(line).map_err(|e| Error::Run(format!("malformed response line: {e}")))?;
-    let obj = match &doc {
-        Json::Object(entries) => entries,
-        _ => return Err(Error::Run("response is not a JSON object".to_string())),
+    let Json::Object(obj) = &doc else {
+        return Err(Error::Run("response is not a JSON object".to_string()));
     };
     if obj.iter().any(|(k, _)| k == "schema") {
         return Ok(Response::Report(ReportLine {
@@ -598,55 +458,44 @@ pub fn decode_response(line: &str) -> Result<Response, Error> {
             json: doc,
         }));
     }
-    let run = |e: Error| Error::Run(format!("malformed response envelope: {e}"));
-    match obj.first().map(|(k, _)| k.as_str()) {
-        Some("rejected") if obj.len() == 1 => {
-            let body = entries(&obj[0].1, "rejected").map_err(run)?;
-            Ok(Response::Rejected {
-                queue_depth: as_usize(
-                    field(body, "queue_depth", "rejected").map_err(run)?,
-                    "rejected.queue_depth",
-                )
-                .map_err(run)?,
-                queue_capacity: as_usize(
-                    field(body, "queue_capacity", "rejected").map_err(run)?,
-                    "rejected.queue_capacity",
-                )
-                .map_err(run)?,
-                message: as_str(
-                    field(body, "message", "rejected").map_err(run)?,
-                    "rejected.message",
-                )
-                .map_err(run)?
-                .to_string(),
-            })
-        }
-        Some("error") if obj.len() == 1 => {
-            let body = entries(&obj[0].1, "error").map_err(run)?;
-            Ok(Response::Error {
-                message: as_str(
-                    field(body, "message", "error").map_err(run)?,
-                    "error.message",
-                )
-                .map_err(run)?
-                .to_string(),
-                usage: as_bool(field(body, "usage", "error").map_err(run)?, "error.usage")
-                    .map_err(run)?,
-            })
-        }
-        Some("metrics") if obj.len() == 1 => MetricsSnapshot::from_json(&obj[0].1)
-            .map(Response::Metrics)
-            .map_err(run),
-        Some("healthz") if obj.len() == 1 => Health::from_json(&obj[0].1)
-            .map(Response::Healthz)
-            .map_err(run),
-        Some("shutdown") if obj.len() == 1 => Ok(Response::Shutdown),
-        _ => Err(Error::Run(
+    let envelope = match obj.as_slice() {
+        [(key, body)] => read_envelope(key, body)
+            .map_err(|e| Error::Run(format!("malformed response envelope: {e}")))?,
+        _ => None,
+    };
+    envelope.ok_or_else(|| {
+        Error::Run(
             "unrecognized response envelope (expected a report or one of \
              rejected/error/metrics/healthz/shutdown)"
                 .to_string(),
-        )),
-    }
+        )
+    })
+}
+
+/// The response a single-key envelope carries; `None` for an unknown
+/// key.
+fn read_envelope(key: &str, body: &Json) -> Result<Option<Response>, String> {
+    Ok(Some(match key {
+        "rejected" => {
+            let r = body.fields("rejected")?;
+            Response::Rejected {
+                queue_depth: r.usize("queue_depth")?,
+                queue_capacity: r.usize("queue_capacity")?,
+                message: r.str("message")?.to_string(),
+            }
+        }
+        "error" => {
+            let e = body.fields("error")?;
+            Response::Error {
+                message: e.str("message")?.to_string(),
+                usage: e.bool("usage")?,
+            }
+        }
+        "metrics" => Response::Metrics(MetricsSnapshot::from_json(body)?),
+        "healthz" => Response::Healthz(Health::from_json(body)?),
+        "shutdown" => Response::Shutdown,
+        _ => return Ok(None),
+    }))
 }
 
 // ---- report decoding ----------------------------------------------------
@@ -665,96 +514,54 @@ impl ReportLine {
     /// Returns [`Error::Run`] when the document does not have the pinned
     /// report schema.
     pub fn decode(&self) -> Result<Report, Error> {
-        decode_report(&self.json)
+        let malformed = |e: String| Error::Run(format!("malformed report: {e}"));
+        let report = self.json.fields("report").map_err(malformed)?;
+        let schema = report.u64("schema").map_err(malformed)?;
+        if schema != rlim_service::REPORT_SCHEMA_VERSION {
+            return Err(Error::Run(format!(
+                "report schema {schema} does not match this client (expected {})",
+                rlim_service::REPORT_SCHEMA_VERSION
+            )));
+        }
+        read_report(&report).map_err(malformed)
     }
 }
 
-fn decode_report(doc: &Json) -> Result<Report, Error> {
-    let run = |e: Error| Error::Run(format!("malformed report: {e}"));
-    let obj = entries(doc, "report").map_err(run)?;
-    let get = |key: &str| field(obj, key, "report").map_err(run);
-
-    let schema = as_u64(get("schema")?, "report.schema").map_err(run)?;
-    if schema != rlim_service::REPORT_SCHEMA_VERSION {
-        return Err(Error::Run(format!(
-            "report schema {schema} does not match this client (expected {})",
-            rlim_service::REPORT_SCHEMA_VERSION
-        )));
-    }
-    let backend: BackendKind = as_str(get("backend")?, "report.backend")
-        .map_err(run)?
-        .parse()
-        .map_err(Error::Run)?;
-
-    let policy = entries(get("policy")?, "report.policy").map_err(run)?;
-    let pol = |key: &str| field(policy, key, "report.policy").map_err(run);
-    let options = CompileOptions {
-        rewriting: opt(pol("rewriting")?, |j| {
-            parse_algorithm(as_str(j, "policy.rewriting")?)
-        })
-        .map_err(run)?,
-        effort: as_usize(pol("effort")?, "policy.effort").map_err(run)?,
-        selection: parse_selection(as_str(pol("selection")?, "policy.selection").map_err(run)?)
-            .map_err(run)?,
-        allocation: parse_allocation(as_str(pol("allocation")?, "policy.allocation").map_err(run)?)
-            .map_err(run)?,
-        max_writes: opt(pol("max_writes")?, |j| as_u64(j, "policy.max_writes")).map_err(run)?,
-        peephole: as_bool(pol("peephole")?, "policy.peephole").map_err(run)?,
-        copy_reuse: as_bool(pol("copy_reuse")?, "policy.copy_reuse").map_err(run)?,
-        esat: as_bool(pol("esat")?, "policy.esat").map_err(run)?,
-        esat_nodes: u32::try_from(as_u64(pol("esat_nodes")?, "policy.esat_nodes").map_err(run)?)
-            .map_err(|_| Error::Run("policy.esat_nodes out of range".to_string()))?,
-        esat_iters: u32::try_from(as_u64(pol("esat_iters")?, "policy.esat_iters").map_err(run)?)
-            .map_err(|_| Error::Run("policy.esat_iters out of range".to_string()))?,
-    };
-
-    let circuit = entries(get("circuit")?, "report.circuit").map_err(run)?;
-    let cir = |key: &str| field(circuit, key, "report.circuit").map_err(run);
-    let circuit = CircuitSummary {
-        inputs: as_usize(cir("inputs")?, "circuit.inputs").map_err(run)?,
-        outputs: as_usize(cir("outputs")?, "circuit.outputs").map_err(run)?,
-        gates: as_usize(cir("gates")?, "circuit.gates").map_err(run)?,
-    };
-
-    let writes = entries(get("writes")?, "report.writes").map_err(run)?;
-    let wr = |key: &str| field(writes, key, "report.writes").map_err(run);
-    let writes = WriteStats {
-        min: as_u64(wr("min")?, "writes.min").map_err(run)?,
-        max: as_u64(wr("max")?, "writes.max").map_err(run)?,
-        mean: as_f64(wr("mean")?, "writes.mean").map_err(run)?,
-        stdev: as_f64(wr("stdev")?, "writes.stdev").map_err(run)?,
-        cells: as_usize(wr("cells")?, "writes.cells").map_err(run)?,
-        total: as_u64(get("total_writes")?, "report.total_writes").map_err(run)?,
-    };
-
-    let lifetime = entries(get("lifetime")?, "report.lifetime").map_err(run)?;
-    let lt = |key: &str| field(lifetime, key, "report.lifetime").map_err(run);
-    let lifetime = LifetimeProjection {
-        endurance: as_u64(lt("endurance")?, "lifetime.endurance").map_err(run)?,
-        single_array_runs: as_u64(lt("single_array_runs")?, "lifetime.single_array_runs")
-            .map_err(run)?,
-        fleet_arrays: as_usize(lt("fleet_arrays")?, "lifetime.fleet_arrays").map_err(run)?,
-        fleet_runs: as_u64(lt("fleet_runs")?, "lifetime.fleet_runs").map_err(run)?,
-    };
-
+fn read_report(r: &Fields<'_>) -> Result<Report, String> {
+    let backend: BackendKind = r.name("backend")?;
+    let circuit = r.object("circuit")?;
+    let writes = r.object("writes")?;
+    let lifetime = r.object("lifetime")?;
+    let total_writes = r.u64("total_writes")?;
     Ok(Report {
-        label: as_str(get("label")?, "report.label")
-            .map_err(run)?
-            .to_string(),
+        label: r.str("label")?.to_string(),
         backend: backend.name(),
-        options,
-        circuit,
-        instructions: as_usize(get("instructions")?, "report.instructions").map_err(run)?,
-        rrams: as_usize(get("rrams")?, "report.rrams").map_err(run)?,
-        total_writes: writes.total,
-        writes,
-        lifetime,
-        program: opt(get("program")?, |j| {
-            as_str(j, "report.program").map(str::to_string)
-        })
-        .map_err(run)?,
+        options: read_options(&r.object("policy")?, &["preset"])?,
+        circuit: CircuitSummary {
+            inputs: circuit.usize("inputs")?,
+            outputs: circuit.usize("outputs")?,
+            gates: circuit.usize("gates")?,
+        },
+        instructions: r.usize("instructions")?,
+        rrams: r.usize("rrams")?,
+        total_writes,
+        writes: WriteStats {
+            min: writes.u64("min")?,
+            max: writes.u64("max")?,
+            mean: writes.f64("mean", STATS_PRECISION)?,
+            stdev: writes.f64("stdev", STATS_PRECISION)?,
+            cells: writes.usize("cells")?,
+            total: total_writes,
+        },
+        lifetime: LifetimeProjection {
+            endurance: lifetime.u64("endurance")?,
+            single_array_runs: lifetime.u64("single_array_runs")?,
+            fleet_arrays: lifetime.usize("fleet_arrays")?,
+            fleet_runs: lifetime.u64("fleet_runs")?,
+        },
+        program: r.optional("program", |r, key| r.str(key).map(str::to_string))?,
         fleet: None,
-        cached: as_bool(get("cached")?, "report.cached").map_err(run)?,
+        cached: r.bool("cached")?,
         seconds: 0.0,
     })
 }
@@ -763,7 +570,15 @@ fn decode_report(doc: &Json) -> Result<Report, Error> {
 mod tests {
     use super::*;
     use rlim_benchmarks::Benchmark;
+    use rlim_plim::DispatchPolicy;
     use rlim_service::Service;
+
+    /// A chaos job line with the given spellings of the two chaos floats.
+    fn chaos_line(median: &str, sigma: &str) -> String {
+        format!(
+            "{{\"verb\":\"job\",\"spec\":{{\"source\":{{\"benchmark\":\"ctrl\"}},\"backend\":\"rm3\",\"options\":{{\"rewriting\":null,\"effort\":5,\"selection\":\"topological\",\"allocation\":\"lifo\",\"max_writes\":null,\"peephole\":false,\"copy_reuse\":false,\"esat\":false,\"esat_nodes\":50000,\"esat_iters\":4}},\"fleet\":{{\"arrays\":2,\"jobs\":8,\"dispatch\":\"least-worn\",\"write_budget\":null,\"input_seed\":null,\"simd\":false,\"chaos\":{{\"fault_seed\":7,\"endurance_median\":{median},\"endurance_sigma\":{sigma},\"stuck_probability\":0.0100,\"recovery\":true,\"spares\":8,\"max_faults\":64}}}},\"program\":false,\"projection_arrays\":4}}}}"
+        )
+    }
 
     fn chaos_fleet_spec() -> JobSpec {
         JobSpec::benchmark(Benchmark::Ctrl)
@@ -839,6 +654,23 @@ mod tests {
             "{\"verb\":\"job\",\"spec\":{\"source\":{\"benchmark\":\"ctrl\"},\"backend\":\"rm3\",\"options\":{\"rewriting\":null,\"effort\":5,\"selection\":\"topological\",\"allocation\":\"lifo\",\"max_writes\":null,\"peephole\":false,\"copy_reuse\":false,\"esat\":true,\"esat_nodes\":0,\"esat_iters\":4},\"fleet\":null,\"program\":false,\"projection_arrays\":4}}",
         ] {
             let err = decode_request(garbage).expect_err(garbage);
+            assert!(err.is_usage(), "{garbage}: {err:?}");
+        }
+        // Chaos floats decode only from the fixed-place literal the
+        // encoder writes, so equal values always share one spelling.
+        let canonical = chaos_line("4096.0", "0.2500");
+        let spec = match decode_request(&canonical).unwrap() {
+            Request::Job(spec) => spec,
+            other => panic!("expected a job request, got {other:?}"),
+        };
+        assert_eq!(encode_request(&Request::Job(spec)).unwrap(), canonical);
+        for garbage in [
+            chaos_line("4096", "0.2500"),
+            chaos_line("4096.0", "0.12345"),
+            chaos_line("4096.00", "0.2500"),
+            chaos_line("4096.0", "0.25"),
+        ] {
+            let err = decode_request(&garbage).expect_err(&garbage);
             assert!(err.is_usage(), "{garbage}: {err:?}");
         }
     }

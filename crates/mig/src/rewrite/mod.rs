@@ -104,6 +104,16 @@ pub enum Algorithm {
 }
 
 impl Algorithm {
+    /// The stable name used in reports and on the daemon wire; the
+    /// inverse of [`Algorithm`]'s `FromStr`.
+    pub fn name(self) -> &'static str {
+        match self {
+            Algorithm::PlimCompiler => "plim-compiler",
+            Algorithm::EnduranceAware => "endurance-aware",
+            Algorithm::LevelAware => "level-aware",
+        }
+    }
+
     /// The pass sequence executed once per effort cycle.
     pub fn cycle(self) -> &'static [Pass] {
         match self {
@@ -143,6 +153,21 @@ impl Algorithm {
                 Pass::LevelBalance,
                 Pass::InvertersThreeOnly,
             ],
+        }
+    }
+}
+
+impl std::str::FromStr for Algorithm {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        match s {
+            "plim-compiler" => Ok(Algorithm::PlimCompiler),
+            "endurance-aware" => Ok(Algorithm::EnduranceAware),
+            "level-aware" => Ok(Algorithm::LevelAware),
+            other => Err(format!(
+                "unknown rewriting algorithm `{other}` (plim-compiler | endurance-aware | level-aware)"
+            )),
         }
     }
 }
@@ -335,6 +360,18 @@ pub(crate) mod tests {
             mig.add_output(s.complement_if(rng.gen_bool(0.3)));
         }
         mig
+    }
+
+    #[test]
+    fn algorithm_names_roundtrip() {
+        for a in [
+            Algorithm::PlimCompiler,
+            Algorithm::EnduranceAware,
+            Algorithm::LevelAware,
+        ] {
+            assert_eq!(a.name().parse::<Algorithm>(), Ok(a));
+        }
+        assert!("alg2".parse::<Algorithm>().is_err());
     }
 
     #[test]

@@ -17,7 +17,9 @@
 //! the writer with a strict reader: [`parse`] turns one document back
 //! into a [`Json`] tree, preserving key order and float precision, so
 //! `parse(doc.render_compact())` reproduces `doc` exactly for every
-//! canonically rendered document.
+//! canonically rendered document. Decoders read a parsed object through
+//! [`Fields`], the one typed field reader: exact key sets, exact value
+//! kinds, and error messages that name the object and field.
 
 use std::fmt::Write as _;
 
@@ -138,6 +140,15 @@ impl Json {
         }
     }
 
+    /// Typed read access to this object's fields, `ctx` naming the
+    /// object in error messages (see [`Fields`]); fails on non-objects.
+    pub fn fields<'a>(&'a self, ctx: &'a str) -> Result<Fields<'a>, String> {
+        match self {
+            Json::Object(entries) => Ok(Fields { entries, ctx }),
+            _ => Err(format!("{ctx}: expected an object")),
+        }
+    }
+
     /// Renders the value as pretty-printed JSON (two-space indent, no
     /// trailing newline).
     pub fn render(&self) -> String {
@@ -245,6 +256,162 @@ impl Json {
     }
 }
 
+/// Typed, strict read access to one JSON object: the field reader every
+/// decoder in the workspace shares.
+///
+/// A value must have exactly the JSON kind the writer emits for it: an
+/// integer field never accepts a float, and a fixed-point float field
+/// accepts only the decimal places it is rendered with. Every read
+/// fails with a message naming the object and field
+/// (`"options.effort: expected an unsigned integer"`) when the key
+/// is missing or its value has another kind; a decoder maps that
+/// message to its own error type once, at its boundary.
+///
+/// # Examples
+///
+/// ```
+/// use rlim_service::json::parse;
+///
+/// let doc = parse("{\"n\":3,\"on\":true,\"w\":null,\"x\":0.2500}").unwrap();
+/// let f = doc.fields("doc").unwrap();
+/// f.exact_keys(["n", "on", "w", "x"]).unwrap();
+/// assert_eq!(f.u64("n"), Ok(3));
+/// assert_eq!(f.bool("on"), Ok(true));
+/// assert_eq!(f.optional("w", |f, k| f.u64(k)), Ok(None));
+/// assert_eq!(f.f64("x", 4), Ok(0.25));
+/// assert!(f.f64("x", 1).is_err(), "0.2500 is not a 1-place literal");
+/// assert_eq!(f.str("n"), Err("doc.n: expected a string".to_string()));
+/// ```
+#[derive(Debug, Clone)]
+pub struct Fields<'a> {
+    entries: &'a [(String, Json)],
+    ctx: &'a str,
+}
+
+impl<'a> Fields<'a> {
+    fn expected(&self, key: &str, what: &str) -> String {
+        format!("{}.{key}: expected {what}", self.ctx)
+    }
+
+    /// The message for a well-typed value of `key` that a decoder
+    /// rejects: `invalid("arrays", "must be at least 1")` reads
+    /// `"{ctx}.arrays must be at least 1"`.
+    pub fn invalid(&self, key: &str, problem: &str) -> String {
+        format!("{}.{key} {problem}", self.ctx)
+    }
+
+    /// Checks that the object holds each of `keys` exactly once and no
+    /// other key, so a typo or a stray field fails loudly instead of
+    /// falling back to a default; the error names the first offender.
+    /// A key set holds at most 64 keys.
+    pub fn exact_keys<'k, I>(&self, keys: I) -> Result<(), String>
+    where
+        I: IntoIterator<Item = &'k str>,
+        I::IntoIter: Clone,
+    {
+        let keys = keys.into_iter();
+        let mut seen = 0u64;
+        for (key, _) in self.entries {
+            let i = keys
+                .clone()
+                .position(|k| k == key)
+                .ok_or_else(|| format!("{}: unknown key `{key}`", self.ctx))?;
+            assert!(i < 64, "exact_keys takes at most 64 keys");
+            if seen & (1 << i) != 0 {
+                return Err(format!("{}: duplicate key `{key}`", self.ctx));
+            }
+            seen |= 1 << i;
+        }
+        match keys.enumerate().find(|(i, _)| seen & (1 << i) == 0) {
+            Some((_, key)) => Err(format!("{}: missing key `{key}`", self.ctx)),
+            None => Ok(()),
+        }
+    }
+
+    /// The raw value under `key`.
+    pub fn get(&self, key: &str) -> Result<&'a Json, String> {
+        self.entries
+            .iter()
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| v)
+            .ok_or_else(|| format!("{}: missing key `{key}`", self.ctx))
+    }
+
+    /// The nested object under `key`, named `key` in its own messages.
+    pub fn object(&self, key: &str) -> Result<Fields<'a>, String> {
+        let (key, value) = self
+            .entries
+            .iter()
+            .find(|(k, _)| k == key)
+            .ok_or_else(|| format!("{}: missing key `{key}`", self.ctx))?;
+        match value {
+            Json::Object(entries) => Ok(Fields { entries, ctx: key }),
+            _ => Err(self.expected(key, "an object")),
+        }
+    }
+
+    /// An unsigned integer.
+    pub fn u64(&self, key: &str) -> Result<u64, String> {
+        match self.get(key)? {
+            Json::UInt(v) => Ok(*v),
+            _ => Err(self.expected(key, "an unsigned integer")),
+        }
+    }
+
+    /// An unsigned integer that fits a `usize`.
+    pub fn usize(&self, key: &str) -> Result<usize, String> {
+        usize::try_from(self.u64(key)?).map_err(|_| self.expected(key, "a smaller value"))
+    }
+
+    /// A boolean.
+    pub fn bool(&self, key: &str) -> Result<bool, String> {
+        match self.get(key)? {
+            Json::Bool(b) => Ok(*b),
+            _ => Err(self.expected(key, "a boolean")),
+        }
+    }
+
+    /// A string.
+    pub fn str(&self, key: &str) -> Result<&'a str, String> {
+        match self.get(key)? {
+            Json::Str(s) => Ok(s),
+            _ => Err(self.expected(key, "a string")),
+        }
+    }
+
+    /// A string parsed through its type's `FromStr` — the vocabulary of
+    /// enum names (`"min-write"`, `"round-robin"`, …); a parse failure
+    /// carries the parser's own message.
+    pub fn name<T: std::str::FromStr<Err = String>>(&self, key: &str) -> Result<T, String> {
+        self.str(key)?
+            .parse()
+            .map_err(|e| format!("{}.{key}: {e}", self.ctx))
+    }
+
+    /// A float written with exactly `places` decimal places — the
+    /// literal [`Json::float`]`(v, places)` renders — so a value decodes
+    /// only from its one canonical spelling.
+    pub fn f64(&self, key: &str, places: usize) -> Result<f64, String> {
+        match self.get(key)? {
+            Json::Float { value, precision } if *precision == places => Ok(*value),
+            _ => Err(self.expected(key, &format!("a number with {places} decimal place(s)"))),
+        }
+    }
+
+    /// `None` for a `null` value, otherwise `read(self, key)`:
+    /// `fields.optional("max_writes", Fields::u64)`.
+    pub fn optional<T>(
+        &self,
+        key: &str,
+        read: impl FnOnce(&Self, &str) -> Result<T, String>,
+    ) -> Result<Option<T>, String> {
+        match self.get(key)? {
+            Json::Null => Ok(None),
+            _ => read(self, key).map(Some),
+        }
+    }
+}
+
 fn indent(out: &mut String, depth: usize) {
     for _ in 0..depth {
         out.push_str("  ");
@@ -254,6 +421,13 @@ fn indent(out: &mut String, depth: usize) {
 /// Appends `s` as a quoted, escaped JSON string literal.
 fn escape_into(s: &str, out: &mut String) {
     out.push('"');
+    // Most strings (every key and enum name) need no escaping: copy
+    // them whole.
+    if !s.bytes().any(|b| b == b'"' || b == b'\\' || b < 0x20) {
+        out.push_str(s);
+        out.push('"');
+        return;
+    }
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -744,5 +918,57 @@ mod tests {
         assert!(err.message.contains("nesting"), "{err}");
         let ok = "[".repeat(100) + &"]".repeat(100);
         assert!(parse(&ok).is_ok());
+    }
+
+    #[test]
+    fn fields_read_strictly_and_name_the_field() {
+        use rlim_compiler::{Allocation, Selection};
+
+        let doc = parse(
+            "{\"a\":{\"n\":7,\"f\":4096.0,\"s\":\"lifo\",\"o\":null},\"b\":1,\"b\":2,\"i\":-1}",
+        )
+        .unwrap();
+        let top = doc.fields("doc").unwrap();
+        let a = top.object("a").unwrap();
+        assert_eq!(a.exact_keys(["n", "f", "s", "o"]), Ok(()));
+        assert_eq!(
+            a.exact_keys(["n", "f", "s"]),
+            Err("a: unknown key `o`".to_string())
+        );
+        assert_eq!(
+            a.exact_keys(["n", "f", "s", "o", "z"]),
+            Err("a: missing key `z`".to_string())
+        );
+        assert_eq!(
+            top.exact_keys(["a", "b", "i"]),
+            Err("doc: duplicate key `b`".to_string())
+        );
+        assert_eq!(a.usize("n"), Ok(7));
+        assert_eq!(a.f64("f", 1), Ok(4096.0));
+        assert!(
+            a.f64("n", 0).is_err(),
+            "integers are not fixed-point floats"
+        );
+        assert!(a.f64("f", 4).is_err(), "4096.0 is not a 4-place literal");
+        assert_eq!(a.optional("o", Fields::u64), Ok(None));
+        assert_eq!(a.optional("n", Fields::u64), Ok(Some(7)));
+        assert_eq!(a.name("s"), Ok(Allocation::Lifo));
+        assert!(a
+            .name::<Selection>("s")
+            .unwrap_err()
+            .starts_with("a.s: unknown selection policy `lifo`"));
+        assert_eq!(
+            top.u64("i"),
+            Err("doc.i: expected an unsigned integer".to_string())
+        );
+        assert_eq!(
+            a.bool("missing"),
+            Err("a: missing key `missing`".to_string())
+        );
+        assert_eq!(
+            top.object("b").unwrap_err(),
+            "doc.b: expected an object".to_string()
+        );
+        assert_eq!(a.invalid("n", "must be even"), "a.n must be even");
     }
 }

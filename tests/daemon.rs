@@ -22,11 +22,13 @@ use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 use rlim::benchmarks::Benchmark;
-use rlim::compiler::CompileOptions;
+use rlim::compiler::{Allocation, CompileOptions, Selection};
 use rlim::daemon::{
-    decode_request, decode_response, encode_request, serve, Client, DaemonConfig, Request, Response,
+    cache_key, decode_request, decode_response, encode_request, serve, Client, DaemonConfig,
+    Request, Response,
 };
-use rlim::service::{ChaosSpec, FleetSpec};
+use rlim::mig::rewrite::Algorithm;
+use rlim::service::{ChaosSpec, FleetSpec, Source};
 use rlim::{BackendKind, JobSpec, Service};
 
 fn daemon(workers: usize, queue_depth: usize) -> rlim::daemon::DaemonHandle {
@@ -347,29 +349,47 @@ fn shutdown_drains_in_flight_work_then_refuses_connections() {
 
 // ---- wire round-trip and framing fuzz ----------------------------------
 
+/// Every one of the ten option fields, drawn independently (including
+/// technique triples no preset names, and `level-aware` rewriting).
 fn options_strategy() -> impl Strategy<Value = CompileOptions> {
     (
         prop_oneof![
-            Just("naive"),
-            Just("plim21"),
-            Just("min-write"),
-            Just("ea-rewriting"),
-            Just("endurance-aware"),
+            Just(None),
+            Just(Some(Algorithm::PlimCompiler)),
+            Just(Some(Algorithm::EnduranceAware)),
+            Just(Some(Algorithm::LevelAware)),
         ],
-        (any::<bool>(), 0usize..10),
-        (any::<bool>(), 3u64..200),
-        any::<bool>(),
+        0usize..10,
+        prop_oneof![
+            Just(Selection::Topological),
+            Just(Selection::AreaAware),
+            Just(Selection::EnduranceAware),
+        ],
+        prop_oneof![Just(Allocation::Lifo), Just(Allocation::MinWrite)],
+        (any::<bool>(), 3u64..200).prop_map(|(some, w)| some.then_some(w)),
+        (any::<bool>(), any::<bool>(), any::<bool>()),
+        (1u32..100_000, 1u32..9),
     )
         .prop_map(
-            |(preset, (some_e, effort), (some_w, max_writes), peephole)| {
-                let mut options = CompileOptions::preset(preset).expect("canonical preset");
-                if some_e {
-                    options = options.with_effort(effort);
-                }
-                if some_w {
-                    options = options.with_max_writes(max_writes);
-                }
-                options.with_peephole(peephole)
+            |(
+                rewriting,
+                effort,
+                selection,
+                allocation,
+                max_writes,
+                (peephole, copy_reuse, esat),
+                (esat_nodes, esat_iters),
+            )| CompileOptions {
+                rewriting,
+                effort,
+                selection,
+                allocation,
+                max_writes,
+                peephole,
+                copy_reuse,
+                esat,
+                esat_nodes,
+                esat_iters,
             },
         )
 }
@@ -408,7 +428,7 @@ fn fleet_strategy() -> impl Strategy<Value = FleetSpec> {
         (any::<bool>(), 1u64..100_000),
         (any::<bool>(), any::<u64>()),
         any::<bool>(),
-        (any::<bool>(), chaos_strategy()).prop_map(|(some, c)| some.then_some(c)),
+        (0u8..4, chaos_strategy()).prop_map(|(n, c)| (n > 0).then_some(c)),
     )
         .prop_map(
             |(arrays, jobs, round_robin, (some_b, budget), (some_s, seed), simd, chaos)| {
@@ -441,7 +461,7 @@ fn spec_strategy() -> impl Strategy<Value = JobSpec> {
             Just(BackendKind::Imp),
         ],
         options_strategy(),
-        (any::<bool>(), fleet_strategy()).prop_map(|(some, f)| some.then_some(f)),
+        (0u8..4, fleet_strategy()).prop_map(|(n, f)| (n > 0).then_some(f)),
         any::<bool>(),
         1usize..9,
     )
@@ -481,6 +501,145 @@ proptest! {
         prop_assert_eq!(&decoded, &spec);
         let again = encode_request(&Request::Job(Box::new(decoded))).unwrap();
         prop_assert_eq!(line, again);
+    }
+}
+
+// ---- cache-key identity -------------------------------------------------
+
+/// The spec's parts as plain values, so a test can swap one leaf.
+struct Parts {
+    source: Source,
+    backend: BackendKind,
+    options: CompileOptions,
+    fleet: Option<FleetSpec>,
+    program: bool,
+    arrays: usize,
+}
+
+impl Parts {
+    fn of(spec: &JobSpec) -> Parts {
+        Parts {
+            source: spec.source().clone(),
+            backend: spec.backend(),
+            options: *spec.options(),
+            fleet: spec.fleet().copied(),
+            program: spec.includes_program(),
+            arrays: spec.projection_arrays(),
+        }
+    }
+
+    fn build(self) -> JobSpec {
+        let spec = match self.source {
+            Source::Benchmark(b) => JobSpec::benchmark(b),
+            Source::BlifPath(p) => JobSpec::blif_path(p),
+            Source::Mig(m) => JobSpec::shared_mig(m),
+        }
+        .with_backend(self.backend)
+        .with_options(self.options)
+        .with_program_text(self.program)
+        .with_projection_arrays(self.arrays);
+        match self.fleet {
+            Some(fleet) => spec.with_fleet(fleet),
+            None => spec,
+        }
+    }
+}
+
+/// Leaves [`splice`] can swap: source, backend, program, projection,
+/// the ten options, the fleet, its six scalars, its chaos rider and the
+/// rider's seven fields.
+const LEAVES: usize = 29;
+
+/// `a` with leaf `leaf` taken from `donor`. Fleet and chaos fields are
+/// swapped only when both specs carry that rider.
+fn splice(a: &JobSpec, donor: &JobSpec, leaf: usize) -> JobSpec {
+    let mut p = Parts::of(a);
+    let d = Parts::of(donor);
+    let (o, od) = (&mut p.options, d.options);
+    match leaf {
+        0 => p.source = d.source,
+        1 => p.backend = d.backend,
+        2 => p.program = d.program,
+        3 => p.arrays = d.arrays,
+        4 => o.rewriting = od.rewriting,
+        5 => o.effort = od.effort,
+        6 => o.selection = od.selection,
+        7 => o.allocation = od.allocation,
+        8 => o.max_writes = od.max_writes,
+        9 => o.peephole = od.peephole,
+        10 => o.copy_reuse = od.copy_reuse,
+        11 => o.esat = od.esat,
+        12 => o.esat_nodes = od.esat_nodes,
+        13 => o.esat_iters = od.esat_iters,
+        14 => p.fleet = d.fleet,
+        _ => {
+            if let (Some(f), Some(fd)) = (p.fleet.as_mut(), d.fleet) {
+                match leaf {
+                    15 => f.arrays = fd.arrays,
+                    16 => f.jobs = fd.jobs,
+                    17 => f.dispatch = fd.dispatch,
+                    18 => f.write_budget = fd.write_budget,
+                    19 => f.input_seed = fd.input_seed,
+                    20 => f.simd = fd.simd,
+                    21 => f.chaos = fd.chaos,
+                    _ => {
+                        if let (Some(c), Some(cd)) = (f.chaos.as_mut(), fd.chaos) {
+                            match leaf {
+                                22 => c.fault_seed = cd.fault_seed,
+                                23 => c.endurance_median = cd.endurance_median,
+                                24 => c.endurance_sigma = cd.endurance_sigma,
+                                25 => c.stuck_probability = cd.stuck_probability,
+                                26 => c.recovery = cd.recovery,
+                                27 => c.spares = cd.spares,
+                                28 => c.max_faults = cd.max_faults,
+                                _ => unreachable!("leaf {leaf} out of range"),
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    p.build()
+}
+
+/// What the cache may share on: the source is replaced by the
+/// fingerprint, and the backend collapses to its compile class
+/// (`rm3`, `hosted-rm3` and `rm3-wide` run one program; `imp` its own).
+fn normalise(spec: &JobSpec) -> JobSpec {
+    let mut p = Parts::of(spec);
+    p.source = Source::Benchmark(Benchmark::Ctrl);
+    p.backend = match p.backend {
+        BackendKind::Rm3 | BackendKind::HostedRm3 | BackendKind::WideRm3 => BackendKind::Rm3,
+        BackendKind::Imp => BackendKind::Imp,
+    };
+    p.build()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Satellite: for one source fingerprint, two wire specs share a
+    /// cache key exactly when they agree on everything but source
+    /// spelling and backend-within-class. Every leaf of `a` is swapped
+    /// in turn for `donor`'s, so each field is checked both when it
+    /// differs (keys must differ) and when it happens to match.
+    #[test]
+    fn cache_keys_match_exactly_when_normalised_specs_do(
+        a in spec_strategy(),
+        donor in spec_strategy(),
+    ) {
+        let fp = 0x5eed_u128;
+        let same = |x: &JobSpec, y: &JobSpec| {
+            (cache_key(fp, x) == cache_key(fp, y), normalise(x) == normalise(y))
+        };
+        let (keys, specs) = same(&a, &donor);
+        prop_assert_eq!(keys, specs, "{:?} vs {:?}", a, donor);
+        for leaf in 0..LEAVES {
+            let b = splice(&a, &donor, leaf);
+            let (keys, specs) = same(&a, &b);
+            prop_assert_eq!(keys, specs, "leaf {}: {:?} vs {:?}", leaf, a, b);
+        }
     }
 }
 
