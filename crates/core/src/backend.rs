@@ -10,8 +10,8 @@
 //! * [`HostedRm3Backend`] — the same programs, self-hosted in the
 //!   crossbar and driven by the `Controller` FSM (paper §III-A2);
 //! * [`WideRm3Backend`] — the same programs again, executed bit-parallel
-//!   on the word-level `WideMachine` (one `u64` word per cell, up to 64
-//!   input vectors per instruction, wear accounted per logical write);
+//!   on the same `Machine` (up to 64 input vectors per instruction, one
+//!   per lane of each cell's word, wear accounted per logical write);
 //! * [`ImpBackend`] — the material-implication NAND-synthesis baseline
 //!   (paper §II), executed on the `ImpMachine`.
 //!
@@ -24,7 +24,7 @@ use rlim_imp::{synthesize, ImpAllocation, ImpMachine, ImpOp, ImpSynthOptions};
 use rlim_isa::{Isa, Program};
 use rlim_mig::rewrite::rewrite;
 use rlim_mig::Mig;
-use rlim_plim::{Controller, Instruction, Machine, WideMachine};
+use rlim_plim::{Controller, Instruction, Machine};
 use rlim_rram::WriteFault;
 
 use crate::options::{Allocation, CompileOptions};
@@ -128,9 +128,10 @@ impl Backend for HostedRm3Backend {
 }
 
 /// The word-level PLiM flow: identical programs to [`Rm3Backend`],
-/// executed bit-parallel on the [`WideMachine`] — the [`Backend`]
-/// interface runs one lane per call, and [`WideRm3Backend::execute_many`]
-/// packs whole pattern batches 64 to the word.
+/// executed bit-parallel — the [`Backend`] interface runs one lane per
+/// call (exactly [`Rm3Backend`]'s run), and
+/// [`WideRm3Backend::execute_many`] packs whole pattern batches 64 to the
+/// word.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct WideRm3Backend;
 
@@ -148,11 +149,9 @@ impl WideRm3Backend {
         program: &Program<Instruction>,
         input_vectors: &[&[bool]],
     ) -> Vec<Vec<bool>> {
-        let mut outputs = Vec::with_capacity(input_vectors.len());
-        for chunk in input_vectors.chunks(64) {
-            outputs.extend(rlim_plim::run_once_wide(program, chunk).0);
-        }
-        outputs
+        (input_vectors.chunks(64))
+            .flat_map(|chunk| rlim_plim::run_once_wide(program, chunk).0)
+            .collect()
     }
 }
 
@@ -169,9 +168,7 @@ impl Backend for WideRm3Backend {
         program: &Program<Instruction>,
         inputs: &[bool],
     ) -> Result<Vec<bool>, WriteFault> {
-        let mut machine = WideMachine::for_program(program, 1);
-        let mut outputs = machine.run(program, &[inputs])?;
-        Ok(outputs.swap_remove(0))
+        Rm3Backend.execute(program, inputs)
     }
 }
 

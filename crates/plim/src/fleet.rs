@@ -66,10 +66,8 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
-use rlim_rram::{CellId, Crossbar, FaultModel, FleetWriteStats, WideCrossbar, WriteFault};
+use rlim_rram::{CellId, Crossbar, FaultModel, FleetWriteStats, WriteFault};
 
 use crate::isa::Program;
 use crate::machine::Machine;
@@ -77,7 +75,6 @@ use crate::recovery::{
     patch_program, remap_target, FaultEvent, FaultKind, FaultRecorder, RecoveryAction,
     RecoveryConfig,
 };
-use crate::wide::WideMachine;
 
 /// How the dispatcher chooses an array for the next job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -343,8 +340,8 @@ impl std::error::Error for FleetError {
 #[derive(Debug, Clone)]
 struct Slot {
     machine: Machine,
-    /// Total writes accumulated (plan-time mirror of the machine's wear;
-    /// reconciled to executed wear whenever recovery retries jobs).
+    /// Total writes accumulated (plan-time mirror of the machine's wear,
+    /// reconciled to the executed wear after every round).
     total: u64,
     /// Jobs ever dispatched to this array.
     jobs: u64,
@@ -353,12 +350,8 @@ struct Slot {
     broken: Vec<CellId>,
     /// Faults detected on this array (the watchdog's counter).
     faults: u64,
-    /// Patched programs keyed by original program identity; cleared when
-    /// `broken` grows (every cached binding is stale then).
-    patches: HashMap<usize, Program>,
-    /// Fault events of the in-flight round, drained into the fleet's
-    /// [`FaultRecorder`] after the parallel phase (merged in job order,
-    /// keeping the log deterministic under any thread schedule).
+    /// Fault events of the in-flight round, merged into the fleet's
+    /// [`FaultRecorder`] in job order after the parallel phase.
     events: Vec<FaultEvent>,
 }
 
@@ -403,7 +396,6 @@ pub struct Fleet {
     recorder: FaultRecorder,
     /// Round-robin scan position.
     cursor: usize,
-    jobs_run: u64,
 }
 
 impl Fleet {
@@ -421,7 +413,6 @@ impl Fleet {
                 retired: false,
                 broken: Vec::new(),
                 faults: 0,
-                patches: HashMap::new(),
                 events: Vec::new(),
             })
             .collect();
@@ -433,7 +424,6 @@ impl Fleet {
             recovery: config.recovery,
             recorder: FaultRecorder::new(config.recovery.map_or(256, |r| r.log_capacity)),
             cursor: 0,
-            jobs_run: 0,
         }
     }
 
@@ -499,7 +489,7 @@ impl Fleet {
 
     /// Jobs dispatched fleet-wide since construction.
     pub fn jobs_run(&self) -> u64 {
-        self.jobs_run
+        self.slots.iter().map(|s| s.jobs).sum()
     }
 
     /// Per-array dispatch bookkeeping in array order: jobs, total writes
@@ -523,7 +513,7 @@ impl Fleet {
                 self.slots.iter().map(|s| s.machine.array().write_counts()),
             ),
             retired: self.slots.iter().filter(|s| s.retired).count(),
-            jobs: self.jobs_run,
+            jobs: self.jobs_run(),
         }
     }
 
@@ -533,18 +523,7 @@ impl Fleet {
     /// `Some(u64::MAX)` for write-free jobs (`cost == 0`) while any array
     /// is live, since such jobs consume no budget.
     pub fn remaining_jobs(&self, cost: u64) -> Option<u64> {
-        let budget = self.write_budget?;
-        if cost == 0 {
-            let any_live = self.slots.iter().any(|s| !s.retired);
-            return Some(if any_live { u64::MAX } else { 0 });
-        }
-        Some(
-            self.slots
-                .iter()
-                .filter(|s| !s.retired)
-                .map(|s| budget.saturating_sub(s.total) / cost)
-                .sum(),
-        )
+        self.headroom(cost).map(|h| h.fold(0, u64::saturating_add))
     }
 
     /// The first-retirement horizon: jobs of write cost `cost` the
@@ -553,19 +532,20 @@ impl Fleet {
     /// configured; `Some(0)` when every array is retired;
     /// `Some(u64::MAX)` for write-free jobs on a live fleet.
     pub fn first_retirement_horizon(&self, cost: u64) -> Option<u64> {
+        self.headroom(cost).map(|h| h.min().unwrap_or(0))
+    }
+
+    /// Jobs of write cost `cost` each live array can still absorb
+    /// (unbounded for write-free jobs), or `None` without a write budget.
+    fn headroom(&self, cost: u64) -> Option<impl Iterator<Item = u64> + '_> {
         let budget = self.write_budget?;
-        if cost == 0 {
-            let any_live = self.slots.iter().any(|s| !s.retired);
-            return Some(if any_live { u64::MAX } else { 0 });
-        }
-        Some(
-            self.slots
-                .iter()
-                .filter(|s| !s.retired)
-                .map(|s| budget.saturating_sub(s.total) / cost)
-                .min()
-                .unwrap_or(0),
-        )
+        let live = self.slots.iter().filter(|s| !s.retired);
+        Some(live.map(move |s| {
+            budget
+                .saturating_sub(s.total)
+                .checked_div(cost)
+                .unwrap_or(u64::MAX)
+        }))
     }
 
     /// Dispatches and executes a batch of jobs, returning each job's
@@ -612,72 +592,75 @@ impl Fleet {
         jobs: &[Job<'_>],
         threads: usize,
     ) -> Result<Vec<Vec<bool>>, FleetError> {
-        if jobs.is_empty() {
-            return Ok(Vec::new());
-        }
-        if self.recovery.is_some() {
-            return self.run_batch_recovering(jobs, threads);
-        }
-        let (assignment, per_array) = self.prepare_batch(jobs)?;
-        let results: Vec<ResultSlot> = jobs.iter().map(|_| Mutex::new(None)).collect();
-        self.execute_arrays(&per_array, threads, |_, slot, list| {
-            for &j in list {
-                let outcome = slot.machine.run(jobs[j].program, jobs[j].inputs);
-                let failed = outcome.is_err();
-                *results[j].lock().expect("result lock") = Some(outcome);
-                if failed {
-                    return; // this array is dead; its later jobs never ran
-                }
-            }
-        });
-        self.collect_results(&assignment, results)
+        self.execute_batch(jobs, threads, 1)
     }
 
-    /// The recovering batch path: plan, execute with per-array
-    /// remap-and-retry, then re-plan whatever a retired array left
-    /// unfinished onto the survivors. Each round either finishes every
-    /// pending job or retires at least one array, so the loop runs at
-    /// most `arrays + 1` rounds.
-    fn run_batch_recovering(
+    /// [`Fleet::run_batch`] with the batch packed into SIMD lanes: jobs
+    /// dispatched to the same array that share a program run as the lanes
+    /// of one pass of the array's [`Machine`], up to 64 per instruction,
+    /// instead of one run per job.
+    ///
+    /// Dispatch, job outputs and wear are unchanged: the plan is
+    /// [`Fleet::run_batch`]'s, word writes charge one logical write per
+    /// lane (so per-cell write counts and all [`FleetStats`] match), and
+    /// serial and parallel runs stay byte-identical. Lane groups run in
+    /// order of their last job and each leaves its last lane's values, so
+    /// every cell ends holding the serial last writer's value. Only
+    /// per-cell *switch* counts differ, and an endurance failure is
+    /// reported for the first job of the failing group (word writes fail
+    /// atomically, never exceeding the serial run's wear).
+    ///
+    /// Programs are assumed state-insensitive — every work cell is
+    /// established (`set0`/`set1`) before it is read, as `rlim-compiler`
+    /// output is; a program reading a cell it never established may see
+    /// different garbage per lane than a serial run.
+    ///
+    /// Word writes have no per-lane readback, so a fleet configured with
+    /// [`FleetConfig::with_faults`] or [`FleetConfig::with_recovery`]
+    /// runs one lane per job, exactly as [`Fleet::run_batch`].
+    ///
+    /// # Errors
+    ///
+    /// As [`Fleet::run_batch`].
+    ///
+    /// # Panics
+    ///
+    /// As [`Fleet::run_batch`].
+    pub fn run_batch_simd(
         &mut self,
         jobs: &[Job<'_>],
         threads: usize,
     ) -> Result<Vec<Vec<bool>>, FleetError> {
-        let recovery = self.recovery.expect("recovery configured");
-        let mut outputs: Vec<Option<Vec<bool>>> = jobs.iter().map(|_| None).collect();
+        let max_lanes = if self.faults.is_some() || self.recovery.is_some() {
+            1
+        } else {
+            Crossbar::LANES
+        };
+        self.execute_batch(jobs, threads, max_lanes)
+    }
+
+    /// The one execute path behind [`Fleet::run_batch`] and
+    /// [`Fleet::run_batch_simd`], in rounds of plan → execute
+    /// ([`Slot::run_jobs`]) → collect. Jobs a retired array left
+    /// unfinished under recovery are re-planned onto the survivors in the
+    /// next round. Each round finishes every pending job, fails, or
+    /// retires at least one array, so there are at most `arrays + 1`.
+    fn execute_batch(
+        &mut self,
+        jobs: &[Job<'_>],
+        threads: usize,
+        max_lanes: usize,
+    ) -> Result<Vec<Vec<bool>>, FleetError> {
+        let recovery = self.recovery;
+        let mut outputs: Vec<Option<Vec<bool>>> = vec![None; jobs.len()];
         let mut pending: Vec<usize> = (0..jobs.len()).collect();
         while !pending.is_empty() {
-            let round: Vec<Job<'_>> = pending.iter().map(|&j| jobs[j]).collect();
-            let (_, per_array) = self.prepare_batch(&round).map_err(|e| match e {
-                // Report the unplaceable job under its original batch index.
-                FleetError::Exhausted {
-                    job,
-                    cost,
-                    live_arrays,
-                } => FleetError::Exhausted {
-                    job: pending[job],
-                    cost,
-                    live_arrays,
-                },
-                other => other,
-            })?;
-            let results: Vec<Mutex<Option<Vec<bool>>>> =
-                round.iter().map(|_| Mutex::new(None)).collect();
-            let global = pending.as_slice();
-            self.execute_arrays(&per_array, threads, |array, slot, list| {
-                for &r in list {
-                    match run_with_recovery(slot, array, global[r], round[r], recovery) {
-                        Some(out) => *results[r].lock().expect("result lock") = Some(out),
-                        // Watchdog retired the array; this job and the
-                        // rest of the list wait for the next round.
-                        None => return,
-                    }
-                }
-            });
+            let per_array = self.prepare_batch(jobs, &pending)?;
+            let mut done = self.execute_arrays(jobs, &per_array, threads, max_lanes);
             // Drain per-array fault events into the recorder, merged in
             // job order (each job runs on exactly one array, so a stable
             // sort by job keeps per-job retry order), and reconcile the
-            // planned wear totals with what retries actually wrote.
+            // planned wear totals with the writes that actually executed.
             let mut round_events = Vec::new();
             for slot in &mut self.slots {
                 round_events.append(&mut slot.events);
@@ -687,14 +670,18 @@ impl Fleet {
             for event in round_events {
                 self.recorder.record(event);
             }
-            let mut still = Vec::new();
-            for (r, result) in results.into_iter().enumerate() {
-                match result.into_inner().expect("no poisoned lock") {
-                    Some(out) => outputs[pending[r]] = Some(out),
-                    None => still.push(pending[r]),
+            done.sort_by_key(|(j, _)| *j);
+            for (j, result) in done {
+                match result {
+                    Ok(out) => outputs[j] = Some(out),
+                    // Without recovery the earliest failing job fails the
+                    // batch; jobs queued behind it on its array never ran.
+                    Err(error) if recovery.is_none() => return Err(error),
+                    // With recovery its array is retired: run it elsewhere.
+                    Err(_) => {}
                 }
             }
-            pending = still;
+            pending.retain(|&j| outputs[j].is_none());
         }
         Ok(outputs
             .into_iter()
@@ -702,127 +689,40 @@ impl Fleet {
             .collect())
     }
 
-    /// [`Fleet::run_batch`] with the batch packed into SIMD lanes: jobs
-    /// dispatched to the same array that share a program are executed as
-    /// one word-level [`WideMachine`] pass of up to 64 lanes per
-    /// instruction, instead of one scalar run per job.
-    ///
-    /// Dispatch, job outputs and wear are unchanged: the plan is the one
-    /// [`Fleet::run_batch`] would produce, word writes charge one logical
-    /// write per lane so every array's per-cell write counts (and thus all
-    /// [`FleetStats`]) equal the unbatched run's, and serial and parallel
-    /// invocations stay byte-identical. Lane groups commit in order of
-    /// their last dispatched job, so each cell's final stored value is the
-    /// serial last writer's. Two observable deviations, both outside the
-    /// endurance evaluation: per-cell *switch* counts may differ (a word
-    /// store cannot observe per-lane flips), and an endurance failure is
-    /// reported for the first job of the failing lane group — word writes
-    /// fail atomically, never exceeding the serial run's wear.
-    ///
-    /// Programs are assumed state-insensitive — every work cell is
-    /// established (`set0`/`set1`) before it is read, which `rlim-compiler`
-    /// output guarantees and the differential suite asserts. A hand-written
-    /// program that reads a cell it never established may observe different
-    /// garbage lane values than a scalar run.
-    ///
-    /// Fault injection is a scalar-path feature: a word-level write has
-    /// no per-lane readback to verify against, so a fleet configured with
-    /// [`FleetConfig::with_faults`] or [`FleetConfig::with_recovery`]
-    /// transparently falls back to the scalar [`Fleet::run_batch`].
-    ///
-    /// # Errors
-    ///
-    /// As [`Fleet::run_batch`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if a job's input vector does not match its program's
-    /// interface.
-    pub fn run_batch_simd(
-        &mut self,
-        jobs: &[Job<'_>],
-        threads: usize,
-    ) -> Result<Vec<Vec<bool>>, FleetError> {
-        if jobs.is_empty() {
-            return Ok(Vec::new());
-        }
-        if self.faults.is_some() || self.recovery.is_some() {
-            return self.run_batch(jobs, threads);
-        }
-        let (assignment, per_array) = self.prepare_batch(jobs)?;
-        let results: Vec<ResultSlot> = jobs.iter().map(|_| Mutex::new(None)).collect();
-        self.execute_arrays(&per_array, threads, |_, slot, list| {
-            for group in lane_groups(jobs, list) {
-                let lanes = group.len();
-                let program = jobs[group[0]].program;
-                let lane_inputs: Vec<&[bool]> = group.iter().map(|&j| jobs[j].inputs).collect();
-                let overlay = WideCrossbar::from_scalar(slot.machine.array());
-                let mut wide = WideMachine::with_array(overlay, lanes);
-                let outcome = wide.run(program, &lane_inputs);
-                // Commit even on failure: wear performed before the failing
-                // word write persists, as in the scalar path.
-                wide.array()
-                    .commit_into(slot.machine.array_mut(), lanes - 1);
-                match outcome {
-                    Ok(lane_outputs) => {
-                        for (&j, out) in group.iter().zip(lane_outputs) {
-                            *results[j].lock().expect("result lock") = Some(Ok(out));
-                        }
-                    }
-                    Err(error) => {
-                        *results[group[0]].lock().expect("result lock") = Some(Err(error.into()));
-                        return; // this array is dead; later groups never ran
-                    }
-                }
-            }
-        });
-        self.collect_results(&assignment, results)
-    }
-
-    /// Plans a batch and commits the plan: wear totals, job counts,
-    /// retirement and the round-robin cursor. Returns the job → array
-    /// assignment and each array's job list (in dispatch order), with
-    /// every involved crossbar grown to its largest program.
-    ///
-    /// Planning is serial, deterministic and transactional — a batch that
-    /// exhausts the fleet leaves all bookkeeping untouched.
+    /// Plans the `pending` jobs of a batch — serially, deterministically
+    /// and transactionally: wear totals, job counts, retirement and the
+    /// round-robin cursor change only if every job places. Returns each
+    /// array's job list (batch indices, in dispatch order), with every
+    /// involved crossbar grown to its largest program.
     fn prepare_batch(
         &mut self,
         jobs: &[Job<'_>],
-    ) -> Result<(Vec<usize>, Vec<Vec<usize>>), FleetError> {
-        let costs: Vec<u64> = jobs.iter().map(Job::cost).collect();
-        let mut plan = Planner {
-            totals: self.slots.iter().map(|s| s.total).collect(),
-            job_counts: self.slots.iter().map(|s| s.jobs).collect(),
-            retired: self.slots.iter().map(|s| s.retired).collect(),
-            cursor: self.cursor,
-            policy: self.policy,
-            write_budget: self.write_budget,
-        };
-        plan.retire_spent();
-        let mut assignment = Vec::with_capacity(jobs.len());
-        for (j, &cost) in costs.iter().enumerate() {
-            let slot = plan.place(cost).ok_or_else(|| FleetError::Exhausted {
-                job: j,
-                cost,
-                live_arrays: plan.retired.iter().filter(|r| !**r).count(),
-            })?;
-            plan.totals[slot] += cost;
-            plan.job_counts[slot] += 1;
-            assignment.push(slot);
-            plan.retire_spent();
-        }
-        for (i, slot) in self.slots.iter_mut().enumerate() {
-            slot.total = plan.totals[i];
-            slot.jobs = plan.job_counts[i];
-            slot.retired = plan.retired[i];
-        }
-        self.cursor = plan.cursor;
-        self.jobs_run += jobs.len() as u64;
-
+        pending: &[usize],
+    ) -> Result<Vec<Vec<usize>>, FleetError> {
+        let saved: Vec<_> = (self.slots.iter())
+            .map(|s| (s.total, s.jobs, s.retired))
+            .collect();
+        let cursor = self.cursor;
+        self.retire_spent();
         let mut per_array: Vec<Vec<usize>> = vec![Vec::new(); self.slots.len()];
-        for (j, &slot) in assignment.iter().enumerate() {
-            per_array[slot].push(j);
+        for &j in pending {
+            let cost = jobs[j].cost();
+            let Some(i) = self.place(cost) else {
+                let live_arrays = self.slots.iter().filter(|s| !s.retired).count();
+                for (slot, &(total, jobs, retired)) in self.slots.iter_mut().zip(&saved) {
+                    (slot.total, slot.jobs, slot.retired) = (total, jobs, retired);
+                }
+                self.cursor = cursor;
+                return Err(FleetError::Exhausted {
+                    job: j,
+                    cost,
+                    live_arrays,
+                });
+            };
+            self.slots[i].total += cost;
+            self.slots[i].jobs += 1;
+            per_array[i].push(j);
+            self.retire_spent();
         }
         for (slot, list) in self.slots.iter_mut().zip(&per_array) {
             let cells = list.iter().map(|&j| jobs[j].program.num_cells).max();
@@ -830,238 +730,196 @@ impl Fleet {
                 slot.machine.ensure_cells(cells);
             }
         }
-        Ok((assignment, per_array))
+        Ok(per_array)
     }
 
-    /// Runs `run_task` once per non-empty array job list, arrays in
-    /// parallel over `threads` scoped workers (`0` = one per available
-    /// core, `1` = forced serial). Arrays are disjoint, so serial and
-    /// parallel schedules produce identical state.
-    fn execute_arrays<F>(&mut self, per_array: &[Vec<usize>], threads: usize, run_task: F)
-    where
-        F: Fn(usize, &mut Slot, &[usize]) + Sync,
-    {
-        type TaskSlot<'m> = Mutex<Option<(usize, &'m mut Slot, &'m [usize])>>;
-        let tasks: Vec<TaskSlot<'_>> = self
-            .slots
-            .iter_mut()
-            .enumerate()
-            .zip(per_array)
-            .filter(|(_, list)| !list.is_empty())
-            .map(|((i, slot), list)| Mutex::new(Some((i, slot, list.as_slice()))))
-            .collect();
-        let workers = resolve_threads(threads, tasks.len());
-        if workers <= 1 {
-            for task in &tasks {
-                let (i, slot, list) = task.lock().expect("task lock").take().expect("task set");
-                run_task(i, slot, list);
-            }
-        } else {
-            let next = AtomicUsize::new(0);
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(|| loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= tasks.len() {
-                            return;
-                        }
-                        let (array, slot, list) = tasks[i]
-                            .lock()
-                            .expect("task lock")
-                            .take()
-                            .expect("task set");
-                        run_task(array, slot, list);
-                    });
-                }
-            });
-        }
-    }
-
-    /// Aggregates per-job outcomes in batch order, retiring arrays that
-    /// failed on a device fault and reconciling their planned wear to the
-    /// writes that actually executed.
-    fn collect_results(
-        &mut self,
-        assignment: &[usize],
-        results: Vec<ResultSlot>,
-    ) -> Result<Vec<Vec<bool>>, FleetError> {
-        let mut outputs = Vec::with_capacity(results.len());
-        let mut first_error: Option<FleetError> = None;
-        for (j, cell) in results.into_iter().enumerate() {
-            match cell.into_inner().expect("no poisoned lock") {
-                Some(Ok(out)) => outputs.push(out),
-                Some(Err(fault)) => {
-                    // A dead cell is permanent: retire the array so later
-                    // batches go to the survivors, and replace its planned
-                    // wear with the writes that actually executed.
-                    let array = assignment[j];
-                    let slot = &mut self.slots[array];
-                    slot.retired = true;
-                    slot.total = slot.machine.array().write_counts().iter().sum();
-                    if first_error.is_none() {
-                        first_error = Some(FleetError::Fault {
-                            job: j,
-                            array,
-                            fault,
-                        });
-                    }
-                }
-                // Jobs queued behind a failed one on the same array never
-                // ran; the earliest failing job is the error reported.
-                None => {}
-            }
-        }
-        match first_error {
-            Some(e) => Err(e),
-            None => Ok(outputs),
-        }
-    }
-}
-
-/// Per-job outcome slot shared between the planner thread and the array
-/// workers.
-type ResultSlot = Mutex<Option<Result<Vec<bool>, WriteFault>>>;
-
-/// Runs one job on one array with remap-and-retry recovery. Returns the
-/// job's outputs, or `None` when the watchdog retired the array instead
-/// (the fault budget or the spare budget is spent).
-///
-/// Every detected fault appends a [`FaultEvent`] to `slot.events` under
-/// the job's original batch index `job_index`; the fleet merges the
-/// per-array logs deterministically after the parallel phase.
-fn run_with_recovery(
-    slot: &mut Slot,
-    array: usize,
-    job_index: usize,
-    job: Job<'_>,
-    recovery: RecoveryConfig,
-) -> Option<Vec<bool>> {
-    loop {
-        let key = std::ptr::from_ref(job.program) as usize;
-        if !slot.broken.is_empty() && !slot.patches.contains_key(&key) {
-            slot.patches
-                .insert(key, patch_program(job.program, &slot.broken));
-        }
-        let program = slot.patches.get(&key).unwrap_or(job.program);
-        slot.machine.ensure_cells(program.num_cells);
-        match slot.machine.run(program, job.inputs) {
-            Ok(out) => return Some(out),
-            Err(fault) => {
-                slot.faults += 1;
-                let cell = fault.cell();
-                let kind = FaultKind::of(&fault);
-                if slot.faults > recovery.max_faults || slot.broken.len() >= recovery.spares {
-                    slot.retired = true;
-                    slot.events.push(FaultEvent {
-                        job: job_index,
-                        array,
-                        cell,
-                        kind,
-                        action: RecoveryAction::Retired,
-                    });
-                    return None;
-                }
-                slot.broken.push(cell);
-                // Every cached binding is stale now; rebuild on demand.
-                slot.patches.clear();
-                let spare = remap_target(&slot.broken, cell);
-                slot.events.push(FaultEvent {
-                    job: job_index,
-                    array,
-                    cell,
-                    kind,
-                    action: RecoveryAction::Remapped { spare },
-                });
-            }
-        }
-    }
-}
-
-/// Packs one array's planned job list into SIMD lane groups: jobs sharing
-/// a program (by reference identity), up to [`WideCrossbar::LANES`] per
-/// group, in dispatch order within each group.
-///
-/// Groups are returned ordered by their *last* member's batch index, so
-/// that the group committing last on any cell contains the serial last
-/// writer of that cell: a program always writes the same cell set, and a
-/// cell a group's program never writes commits as a no-op (it still holds
-/// the snapshot of the previous commit).
-fn lane_groups(jobs: &[Job<'_>], list: &[usize]) -> Vec<Vec<usize>> {
-    let mut groups: Vec<(usize, Vec<usize>)> = Vec::new();
-    for &j in list {
-        let key = std::ptr::from_ref(jobs[j].program) as usize;
-        // Only the newest group of a program can be open (earlier ones
-        // were closed at 64 lanes), so scanning from the back finds it.
-        match groups
-            .iter_mut()
-            .rev()
-            .find(|(k, g)| *k == key && g.len() < WideCrossbar::LANES)
-        {
-            Some((_, group)) => group.push(j),
-            None => groups.push((key, vec![j])),
-        }
-    }
-    groups.sort_by_key(|(_, g)| *g.last().expect("groups are non-empty"));
-    groups.into_iter().map(|(_, g)| g).collect()
-}
-
-/// Scratch dispatch state: a copy of the fleet's wear bookkeeping that a
-/// batch plan mutates, committed back only when every job places.
-struct Planner {
-    totals: Vec<u64>,
-    job_counts: Vec<u64>,
-    retired: Vec<bool>,
-    cursor: usize,
-    policy: DispatchPolicy,
-    write_budget: Option<u64>,
-}
-
-impl Planner {
-    /// Whether array `slot` can absorb `cost` more writes.
-    fn fits(&self, slot: usize, cost: u64) -> bool {
-        match self.write_budget {
-            None => true,
-            Some(w) => self.totals[slot] + cost <= w,
-        }
-    }
-
-    /// Chooses a live, fitting array for a job of write cost `cost`, or
-    /// `None` when the fleet is exhausted for this cost.
+    /// Chooses a live array that can absorb `cost` more writes, or `None`
+    /// when the fleet is exhausted for this cost.
     fn place(&mut self, cost: u64) -> Option<usize> {
-        let n = self.totals.len();
+        let n = self.slots.len();
+        let usable = |i: usize| {
+            let slot = &self.slots[i];
+            !slot.retired && self.write_budget.is_none_or(|w| slot.total + cost <= w)
+        };
         match self.policy {
             DispatchPolicy::RoundRobin => {
-                for step in 0..n {
-                    let i = (self.cursor + step) % n;
-                    if !self.retired[i] && self.fits(i, cost) {
-                        self.cursor = (i + 1) % n;
-                        return Some(i);
-                    }
-                }
-                None
+                let i = (0..n)
+                    .map(|step| (self.cursor + step) % n)
+                    .find(|&i| usable(i))?;
+                self.cursor = (i + 1) % n;
+                Some(i)
             }
             DispatchPolicy::LeastWorn => (0..n)
-                .filter(|&i| !self.retired[i] && self.fits(i, cost))
-                .min_by_key(|&i| (self.totals[i], i)),
+                .filter(|&i| usable(i))
+                .min_by_key(|&i| (self.slots[i].total, i)),
         }
     }
 
-    /// Retires every live array whose budget is fully consumed (it cannot
-    /// fit even a single write) — the array-level analogue of dropping
-    /// at-limit cells from the compile-time free pool. Arrays with budget
-    /// left are never retired here, only skipped by [`Planner::place`]
-    /// for jobs they cannot fit, so remaining capacity stays reachable
-    /// for cheaper later jobs.
+    /// Retires every live array whose budget cannot fit even one more
+    /// write — the array-level analogue of dropping at-limit cells from
+    /// the free pool. Arrays with budget left are only skipped by
+    /// [`Fleet::place`], so cheaper later jobs can still use it.
     fn retire_spent(&mut self) {
-        let Some(budget) = self.write_budget else {
-            return;
-        };
-        for (i, retired) in self.retired.iter_mut().enumerate() {
-            if !*retired && self.totals[i] >= budget {
-                *retired = true;
+        if let Some(budget) = self.write_budget {
+            for slot in &mut self.slots {
+                slot.retired |= slot.total >= budget;
             }
         }
     }
+
+    /// Runs every non-empty array job list ([`Slot::run_jobs`]) over
+    /// `threads` scoped workers (`0` = one per core, `1` = serial), each
+    /// taking a contiguous share of the arrays, and concatenates the
+    /// results. Arrays are disjoint, so every schedule is identical.
+    fn execute_arrays(
+        &mut self,
+        jobs: &[Job<'_>],
+        per_array: &[Vec<usize>],
+        threads: usize,
+        max_lanes: usize,
+    ) -> Vec<Done> {
+        let recovery = self.recovery;
+        let mut tasks: Vec<(usize, &mut Slot, &[usize])> = (self.slots.iter_mut().enumerate())
+            .zip(per_array)
+            .filter(|(_, list)| !list.is_empty())
+            .map(|((i, slot), list)| (i, slot, list.as_slice()))
+            .collect();
+        let run_share = |share: &mut [(usize, &mut Slot, &[usize])]| -> Vec<Done> {
+            (share.iter_mut())
+                .flat_map(|(i, slot, list)| slot.run_jobs(*i, jobs, list, max_lanes, recovery))
+                .collect()
+        };
+        let workers = resolve_threads(threads, tasks.len());
+        if workers <= 1 {
+            return run_share(&mut tasks);
+        }
+        let share = tasks.len().div_ceil(workers);
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (tasks.chunks_mut(share))
+                .map(|part| scope.spawn(move || run_share(part)))
+                .collect();
+            (handles.into_iter())
+                .flat_map(|h| h.join().expect("array worker panicked"))
+                .collect()
+        })
+    }
+}
+
+/// A job's batch index and its outputs, or the fault that failed it.
+type Done = (usize, Result<Vec<bool>, FleetError>);
+
+impl Slot {
+    /// Runs array `array`'s planned share `list` of `jobs` in lane groups
+    /// of up to `max_lanes` same-program jobs, in place on its machine,
+    /// until done or a fault [`Slot::on_fault`] does not recover from.
+    fn run_jobs(
+        &mut self,
+        array: usize,
+        jobs: &[Job<'_>],
+        list: &[usize],
+        max_lanes: usize,
+        recovery: Option<RecoveryConfig>,
+    ) -> Vec<Done> {
+        let mut done = Vec::new();
+        // Patched copies keyed by program address, which is stable only
+        // while `jobs` is borrowed: the cache lives for one share.
+        let mut patches: HashMap<*const Program, Program> = HashMap::new();
+        for group in lane_groups(jobs, list, max_lanes) {
+            let job = group[0];
+            let lane_inputs: Vec<&[bool]> = group.iter().map(|&j| jobs[j].inputs).collect();
+            let outcome = loop {
+                let original = jobs[job].program;
+                let program = if self.broken.is_empty() {
+                    original
+                } else {
+                    patches
+                        .entry(std::ptr::from_ref(original))
+                        .or_insert_with(|| patch_program(original, &self.broken))
+                };
+                self.machine.ensure_cells(program.num_cells);
+                let outcome = self.machine.run_lanes(program, &lane_inputs);
+                if let Err(fault) = &outcome {
+                    if self.on_fault(fault, recovery, job, array) {
+                        patches.clear(); // every cached binding is stale now
+                        continue;
+                    }
+                }
+                break outcome;
+            };
+            match outcome {
+                Ok(outputs) => done.extend(group.into_iter().zip(outputs.into_iter().map(Ok))),
+                Err(fault) => {
+                    done.push((job, Err(FleetError::Fault { job, array, fault })));
+                    break; // the array is retired; later groups never run
+                }
+            }
+        }
+        done
+    }
+
+    /// The one fault handler, for a fault of batch job `job`. Without
+    /// recovery it retires the array. With recovery it remaps the broken
+    /// cell to a spare and returns `true` (retry), unless the watchdog
+    /// retires the array for a spent fault or spare budget; either way it
+    /// logs a [`FaultEvent`], merged in job order after the round.
+    fn on_fault(
+        &mut self,
+        fault: &WriteFault,
+        recovery: Option<RecoveryConfig>,
+        job: usize,
+        array: usize,
+    ) -> bool {
+        let Some(recovery) = recovery else {
+            self.retired = true;
+            return false;
+        };
+        self.faults += 1;
+        let cell = fault.cell();
+        let action = if self.faults > recovery.max_faults || self.broken.len() >= recovery.spares {
+            self.retired = true;
+            RecoveryAction::Retired
+        } else {
+            self.broken.push(cell);
+            RecoveryAction::Remapped {
+                spare: remap_target(&self.broken, cell),
+            }
+        };
+        self.events.push(FaultEvent {
+            job,
+            array,
+            cell,
+            kind: FaultKind::of(fault),
+            action,
+        });
+        !self.retired
+    }
+}
+
+/// Packs one array's planned job list into lane groups of up to
+/// `max_lanes` jobs sharing a program (by reference identity), in
+/// dispatch order, and orders the groups by their *last* member: a
+/// program always writes the same cells, so the group running last on a
+/// cell holds the serial last writer of that cell.
+fn lane_groups(jobs: &[Job<'_>], list: &[usize], max_lanes: usize) -> Vec<Vec<usize>> {
+    let mut groups: Vec<Vec<usize>> = Vec::new();
+    // Each program's newest group; earlier ones are full.
+    let mut newest: Vec<(*const Program, usize)> = Vec::new();
+    for &j in list {
+        let key = std::ptr::from_ref(jobs[j].program);
+        match newest.iter_mut().find(|(k, _)| *k == key) {
+            Some((_, g)) if groups[*g].len() < max_lanes => groups[*g].push(j),
+            Some((_, g)) => {
+                *g = groups.len();
+                groups.push(vec![j]);
+            }
+            None => {
+                newest.push((key, groups.len()));
+                groups.push(vec![j]);
+            }
+        }
+    }
+    groups.sort_by_key(|g| *g.last().expect("groups are non-empty"));
+    groups
 }
 
 /// Worker-count resolution following `rlim-testkit`'s convention (`0` =
@@ -1720,5 +1578,23 @@ mod tests {
         assert_eq!(out_simd, scalar.run_batch(&jobs, 1).unwrap());
         assert_eq!(simd.fault_log(), scalar.fault_log());
         assert_eq!(simd.array(0).write_counts(), scalar.array(0).write_counts());
+    }
+
+    #[test]
+    fn patched_programs_do_not_outlive_their_batch() {
+        let mut fleet = Fleet::new(
+            FleetConfig::new(1)
+                .with_faults(wear_only(4.0))
+                .with_recovery(RecoveryConfig::new().with_spares(4)),
+        );
+        let mut program = set_prog(true);
+        fleet.run_batch(&[Job::new(&program, &[]); 6], 1).unwrap();
+        // r0 wore out on job 4 and was remapped to r1.
+        assert_eq!(fleet.broken_cells(0), &[CellId::new(0)]);
+        // A new program at the same address must run its own patched
+        // copy, not the previous batch's.
+        program = set_prog(false);
+        let out = fleet.run_batch(&[Job::new(&program, &[])], 1).unwrap();
+        assert_eq!(out, vec![vec![false]]);
     }
 }

@@ -18,33 +18,29 @@
 //! This crate provides the RM3 ISA ([`Instruction`], [`Operand`],
 //! implementing [`rlim_isa::Isa`]), the [`Program`] container (the shared
 //! [`rlim_isa::Program`] instantiated at RM3, produced by
-//! `rlim-compiler`), the [`Machine`] that executes programs against an
-//! [`rlim_rram::Crossbar`], the bit-parallel [`WideMachine`] that runs up
-//! to 64 input vectors per instruction with identical wear accounting,
-//! the self-hosted [`Controller`] FSM, and the multi-crossbar [`Fleet`]
-//! runtime with endurance-aware dispatch ([`DispatchPolicy`]), including
-//! SIMD-batched dispatch ([`Fleet::run_batch_simd`]) and online fault
-//! recovery ([`RecoveryConfig`], [`FaultRecorder`], [`patch_program`])
+//! `rlim-compiler`), the [`Machine`] — the one RM3 executor, running one
+//! to 64 input vectors per instruction on an [`rlim_rram::Crossbar`] of
+//! 64-lane words, with [`WideMachine`] as its fixed-lane facade — the
+//! self-hosted [`Controller`] FSM, and the multi-crossbar [`Fleet`] with
+//! endurance-aware dispatch ([`DispatchPolicy`]), whose one execute path
+//! serves plain, SIMD-batched ([`Fleet::run_batch_simd`]) and recovering
+//! batches ([`RecoveryConfig`], [`FaultRecorder`], [`patch_program`])
 //! over injected device faults ([`rlim_rram::FaultModel`]).
 //!
 //! ## Example
 //!
 //! ```
-//! use rlim_plim::{Instruction, Machine, Operand, Program};
+//! use rlim_plim::{Instruction, Machine, Operand, Program, WideMachine};
 //! use rlim_rram::CellId;
 //!
-//! // AND of two preloaded cells, computed into a third (zeroed) cell:
-//! //   set0 z; z ← ⟨a, 1̄=… ⟩ — here directly: z ← ⟨a, b̄… ⟩ needs care, so
-//! // use the canonical AND recipe: z ← ⟨a, q=1 (Q̄=0), z=b⟩? Simpler:
-//! // maj(a, b, 0) via z preloaded 0 and RM3(a, !b is not expressible) —
-//! // the compiler handles operand polarity; here we just show execution.
-//! let a = CellId::new(0);
-//! let b = CellId::new(1);
-//! let z = CellId::new(2);
+//! // AND of two inputs, computed into a third (zeroed) cell.
+//! let (a, b, z) = (CellId::new(0), CellId::new(1), CellId::new(2));
 //! let program = Program {
 //!     instructions: vec![
-//!         // z ← ⟨a, Q̄, z⟩ with Q = constant true ⇒ z ← ⟨a, 0, 0⟩ = a ∧ … = 0∨(a∧0)…
-//!         Instruction { p: Operand::Cell(a), q: Operand::Const(false), z },
+//!         // Q = 0, so Q̄ = 1: z ← ⟨b, 1, 0⟩ = b
+//!         Instruction { p: Operand::Cell(b), q: Operand::Const(false), z },
+//!         // Q = 1, so Q̄ = 0: z ← ⟨a, 0, b⟩ = a ∧ b
+//!         Instruction { p: Operand::Cell(a), q: Operand::Const(true), z },
 //!     ],
 //!     num_cells: 3,
 //!     input_cells: vec![a, b],
@@ -52,9 +48,11 @@
 //! };
 //! program.validate().unwrap();
 //! let mut machine = Machine::for_program(&program);
-//! let out = machine.run(&program, &[true, false]).unwrap();
-//! // z started 0; z ← ⟨1, !0=1, 0⟩ = 1
-//! assert_eq!(out, vec![true]);
+//! assert_eq!(machine.run(&program, &[true, false]).unwrap(), vec![false]);
+//! // All four input vectors as the lanes of one pass.
+//! let lanes: [&[bool]; 4] = [&[false, false], &[false, true], &[true, false], &[true, true]];
+//! let out = WideMachine::for_program(&program, 4).run(&program, &lanes).unwrap();
+//! assert_eq!(out, vec![vec![false], vec![false], vec![false], vec![true]]);
 //! ```
 
 #![forbid(unsafe_code)]

@@ -8,16 +8,21 @@
 //! write-verify cycle — and surfaces endurance exhaustion and stuck-at
 //! faults as [`WriteFault`] errors, enabling lifetime and chaos
 //! experiments.
+//!
+//! ## Lanes
+//!
+//! Every cell holds a 64-lane word and a step computes the majority
+//! bitwise, so one instruction advances up to 64 executions (lane `k`
+//! serves input vector `k`). The active lane count is a run-time value
+//! ([`Machine::set_lanes`], one by default). A one-lane step is the
+//! write-verify cycle above; an `L`-lane step is one unverified word write
+//! charged `L` logical writes ([`Crossbar::write_word`]). See
+//! [`WideMachine`](crate::WideMachine) for how that compares with `L`
+//! sequential runs.
 
 use rlim_rram::{Crossbar, FaultModel, WriteFault};
 
 use crate::isa::{Instruction, Operand, Program};
-
-/// Bitwise majority of three booleans.
-#[inline]
-fn maj(a: bool, b: bool, c: bool) -> bool {
-    (a && b) || (c && (a || b))
-}
 
 /// A PLiM machine owning a crossbar array.
 ///
@@ -50,6 +55,7 @@ fn maj(a: bool, b: bool, c: bool) -> bool {
 #[derive(Debug, Clone)]
 pub struct Machine {
     array: Crossbar,
+    lanes: usize,
     cycles: u64,
 }
 
@@ -57,32 +63,35 @@ impl Machine {
     /// A machine whose array is sized for `program`, without an endurance
     /// limit. All cells start at logic 0 with zero wear.
     pub fn for_program(program: &Program) -> Self {
-        let mut array = Crossbar::new();
-        array.grow_to(program.num_cells);
-        Machine { array, cycles: 0 }
+        Machine::sized(Crossbar::new(), program)
     }
 
     /// Like [`Machine::for_program`] but cells fail after `limit` writes.
     pub fn with_endurance(program: &Program, limit: u64) -> Self {
-        let mut array = Crossbar::with_endurance(limit);
-        array.grow_to(program.num_cells);
-        Machine { array, cycles: 0 }
+        Machine::sized(Crossbar::with_endurance(limit), program)
     }
 
     /// Like [`Machine::for_program`] but under fault injection: per-cell
     /// endurance limits and latent stuck-at faults sampled from `model`.
     pub fn with_faults(program: &Program, model: FaultModel) -> Self {
-        let mut array = Crossbar::with_faults(model);
-        array.grow_to(program.num_cells);
-        Machine { array, cycles: 0 }
+        Machine::sized(Crossbar::with_faults(model), program)
     }
 
-    /// A machine executing on a caller-provided array — the entry point for
-    /// long-lived arrays whose wear spans many programs (see
-    /// [`Fleet`](crate::Fleet)). The array is grown on demand by
+    fn sized(mut array: Crossbar, program: &Program) -> Self {
+        array.grow_to(program.num_cells);
+        Machine::with_array(array)
+    }
+
+    /// A one-lane machine executing on a caller-provided array — the
+    /// entry point for long-lived arrays whose wear spans many programs
+    /// (see [`Fleet`](crate::Fleet)). The array is grown on demand by
     /// [`Machine::ensure_cells`]; existing wear and values are preserved.
     pub fn with_array(array: Crossbar) -> Self {
-        Machine { array, cycles: 0 }
+        Machine {
+            array,
+            lanes: 1,
+            cycles: 0,
+        }
     }
 
     /// Grows the array to at least `num_cells` cells (new cells preloaded
@@ -96,21 +105,31 @@ impl Machine {
         &self.array
     }
 
-    /// Mutable access for the fleet's SIMD path, which commits word-level
-    /// overlays back into the machine's array. Not public: all other wear
-    /// mutation flows through [`Machine::step`].
-    pub(crate) fn array_mut(&mut self) -> &mut Crossbar {
-        &mut self.array
+    /// Number of active lanes.
+    pub(crate) fn lanes(&self) -> usize {
+        self.lanes
     }
 
-    /// Total RM3 instructions executed since construction.
+    /// Sets the number of active lanes each later step advances. Panics
+    /// if `lanes` is not in `1..=64`.
+    pub(crate) fn set_lanes(&mut self, lanes: usize) {
+        assert!(
+            (1..=Crossbar::LANES).contains(&lanes),
+            "active lane count must be in 1..=64"
+        );
+        self.lanes = lanes;
+    }
+
+    /// Total RM3 instructions executed since construction (each advances
+    /// all active lanes at once).
     pub fn cycles(&self) -> u64 {
         self.cycles
     }
 
-    /// Preloads the primary inputs (wear-free, models the RAM load phase),
-    /// verifying each cell by readback so stuck input cells surface
-    /// instead of silently corrupting the computation.
+    /// Preloads the primary inputs of a one-lane machine (wear-free,
+    /// models the RAM load phase), verifying each cell by readback so
+    /// stuck input cells surface instead of silently corrupting the
+    /// computation.
     ///
     /// # Errors
     ///
@@ -121,31 +140,61 @@ impl Machine {
     ///
     /// Panics if `inputs.len() != program.input_cells.len()`.
     pub fn load_inputs(&mut self, program: &Program, inputs: &[bool]) -> Result<(), WriteFault> {
+        self.load_lanes(program, &[inputs])
+    }
+
+    /// Preloads the primary inputs of every active lane: lane `k`
+    /// receives `lane_inputs[k]`. One lane loads (and fails) as
+    /// [`Machine::load_inputs`]; more lanes preload words without
+    /// readback, inactive high lanes 0. Panics if the vector count is not
+    /// the lane count or a vector does not match the program's inputs.
+    pub(crate) fn load_lanes(
+        &mut self,
+        program: &Program,
+        lane_inputs: &[&[bool]],
+    ) -> Result<(), WriteFault> {
         assert_eq!(
-            inputs.len(),
-            program.input_cells.len(),
+            lane_inputs.len(),
+            self.lanes,
+            "one input vector per active lane"
+        );
+        let arity = program.input_cells.len();
+        let arity_ok = lane_inputs.iter().all(|inputs| inputs.len() == arity);
+        assert!(
+            arity_ok,
             "input value count must match the program's input cells"
         );
-        for (&cell, &value) in program.input_cells.iter().zip(inputs) {
-            self.array.preload_verified(cell, value)?;
+        for (i, &cell) in program.input_cells.iter().enumerate() {
+            if let [inputs] = lane_inputs {
+                self.array.preload_verified(cell, inputs[i])?;
+            } else {
+                let word = (lane_inputs.iter().enumerate())
+                    .fold(0, |word, (k, inputs)| word | u64::from(inputs[i]) << k);
+                self.array.preload_word(cell, word);
+            }
         }
         Ok(())
     }
 
-    /// Executes a single RM3 instruction as a write-verify cycle.
+    /// Executes a single RM3 instruction on every active lane — as a
+    /// write-verify cycle when one lane is active.
     ///
     /// # Errors
     ///
-    /// Returns [`WriteFault::Worn`] if the destination cell is worn out
-    /// (machine state unchanged), or [`WriteFault::Stuck`] when the
-    /// readback disagrees with the majority result (the pulse was
-    /// absorbed, so wear advanced).
+    /// Returns [`WriteFault::Worn`] if the destination cell cannot absorb
+    /// one logical write per active lane (machine state unchanged), or
+    /// [`WriteFault::Stuck`] when the one-lane readback disagrees with
+    /// the majority result (the pulse was absorbed, so wear advanced).
     pub fn step(&mut self, inst: &Instruction) -> Result<(), WriteFault> {
-        let p = self.operand_value(inst.p);
-        let q = self.operand_value(inst.q);
-        let z = self.array.read(inst.z);
-        let result = maj(p, !q, z);
-        self.array.write_verified(inst.z, result)?;
+        let (p, q) = (self.operand_word(inst.p), self.operand_word(inst.q));
+        let z = self.array.read_word(inst.z);
+        // The RM3 majority maj(p, !q, z), bitwise over the lanes.
+        let result = (p & !q) | (z & (p | !q));
+        if self.lanes == 1 {
+            self.array.write_verified(inst.z, result & 1 == 1)?;
+        } else {
+            self.array.write_word(inst.z, result, self.lanes)?;
+        }
         self.cycles += 1;
         Ok(())
     }
@@ -162,12 +211,23 @@ impl Machine {
         Ok(())
     }
 
-    /// Reads the primary outputs.
+    /// Reads the primary outputs (lane 0).
     pub fn outputs(&self, program: &Program) -> Vec<bool> {
         program
             .output_cells
             .iter()
             .map(|&c| self.array.read(c))
+            .collect()
+    }
+
+    /// Reads the primary outputs of every active lane, in lane order.
+    pub(crate) fn lane_outputs(&self, program: &Program) -> Vec<Vec<bool>> {
+        (0..self.lanes)
+            .map(|k| {
+                (program.output_cells.iter())
+                    .map(|&c| (self.array.read_word(c) >> k) & 1 == 1)
+                    .collect()
+            })
             .collect()
     }
 
@@ -182,10 +242,30 @@ impl Machine {
         Ok(self.outputs(program))
     }
 
-    fn operand_value(&self, op: Operand) -> bool {
+    /// Runs one input vector per lane in one pass: activates
+    /// `lane_inputs.len()` lanes, loads, executes and returns each lane's
+    /// outputs or the first write fault. Afterwards every cell holds its
+    /// last lane's value in all lanes, even after a fault, so the array
+    /// reads as if the lanes had run one by one.
+    pub(crate) fn run_lanes(
+        &mut self,
+        program: &Program,
+        lane_inputs: &[&[bool]],
+    ) -> Result<Vec<Vec<bool>>, WriteFault> {
+        self.set_lanes(lane_inputs.len());
+        let outcome = (self.load_lanes(program, lane_inputs))
+            .and_then(|()| self.execute(program))
+            .map(|()| self.lane_outputs(program));
+        if self.lanes > 1 {
+            self.array.broadcast_lane(self.lanes - 1);
+        }
+        outcome
+    }
+
+    fn operand_word(&self, op: Operand) -> u64 {
         match op {
-            Operand::Const(b) => b,
-            Operand::Cell(c) => self.array.read(c),
+            Operand::Const(bit) => u64::from(bit).wrapping_neg(),
+            Operand::Cell(c) => self.array.read_word(c),
         }
     }
 }
@@ -294,7 +374,7 @@ mod tests {
             let mut m = Machine::for_program(&program);
             m.array.preload(cell(0), z0);
             m.execute(&program).unwrap();
-            let expect = maj(p, !q, z0);
+            let expect = (p && !q) || (z0 && (p || !q));
             assert_eq!(m.outputs(&program), vec![expect], "p={p} q={q} z={z0}");
         }
     }
@@ -384,7 +464,7 @@ mod tests {
             let onset = model.profile(0).stuck.unwrap().onset;
             for _ in 0..onset {
                 probe
-                    .array_mut()
+                    .array
                     .write(cell(0), model.profile(0).stuck.unwrap().value)
                     .unwrap();
             }

@@ -1,41 +1,20 @@
 //! The word-level PLiM machine: RM3 programs over 64 lanes at once.
 //!
-//! One scalar RM3 step computes `Z ← maj(P, Q̄, Z)` for a single input
-//! vector; a [`WideMachine`] step computes the same majority **bitwise on
-//! `u64` words**, so each instruction advances up to 64 independent
-//! executions (lanes) of the program. Lane `k` of every cell word belongs
-//! to input vector `k`; lanes never interact, because the bitwise majority
+//! A [`WideMachine`] is a [`Machine`] with a fixed number of active lanes
+//! (lane `k` of every cell word serves input vector `k`). A word write is
+//! charged one *logical* write per active lane, so `L` lanes leave every
+//! cell's write count at `L ×` one run's, as `L` sequential runs would.
 //!
-//! ```text
-//! maj(p, !q, z) = (p & !q) | (z & (p | !q))
-//! ```
+//! ## Where lane-serial runs still differ
 //!
-//! is computed lane-wise, and constants broadcast to all lanes.
-//!
-//! ## Wear accounting invariant
-//!
-//! Every word write is charged one *logical* write per active lane (see
-//! [`WideCrossbar::write_word`]), so after running `L` lanes the per-cell
-//! write counts equal `L ×` the scalar per-run counts — exactly what `L`
-//! sequential [`Machine`](crate::Machine) runs would accumulate. The
-//! endurance numbers of the DATE 2017 evaluation are therefore identical
-//! under scalar and word-level execution; the differential suite in
-//! `rlim-testkit` asserts this per cell on every benchmark.
-//!
-//! ## When the scalar machine is still authoritative
-//!
-//! The scalar [`Machine`](crate::Machine) remains the reference model for
-//! per-cell *switch* counts (value flips are per-lane effects a word store
-//! cannot observe), for cycle-accurate endurance failure points (a word
-//! write fails atomically before any lane executes, where the lane-serial
-//! run would perform the below-limit lanes first), and for the hosted
-//! [`Controller`](crate::Controller) FSM. Everything measured by the
-//! paper's tables — values, per-cell write counts, lifetime projections —
-//! is lane-exact here.
+//! Only in per-cell *switch* counts and in the failure point at an
+//! endurance limit: a word write fails before any lane executes, where
+//! lane-serial runs would perform the below-limit lanes first.
 
-use rlim_rram::{EnduranceError, WideCrossbar};
+use rlim_rram::{Crossbar, EnduranceError, WriteFault};
 
-use crate::isa::{Instruction, Operand, Program};
+use crate::isa::{Instruction, Program};
+use crate::machine::Machine;
 
 /// A PLiM machine executing RM3 programs bit-parallel over `1..=64` lanes.
 ///
@@ -64,9 +43,7 @@ use crate::isa::{Instruction, Operand, Program};
 /// ```
 #[derive(Debug, Clone)]
 pub struct WideMachine {
-    array: WideCrossbar,
-    lanes: usize,
-    cycles: u64,
+    machine: Machine,
 }
 
 impl WideMachine {
@@ -77,77 +54,58 @@ impl WideMachine {
     ///
     /// Panics if `lanes` is not in `1..=64`.
     pub fn for_program(program: &Program, lanes: usize) -> Self {
-        let mut array = WideCrossbar::new();
+        let mut array = Crossbar::new();
         array.grow_to(program.num_cells);
         WideMachine::with_array(array, lanes)
     }
 
     /// A machine executing `lanes` active lanes on a caller-provided
-    /// word-level array — the entry point for overlays snapshotted from a
-    /// long-lived scalar array ([`WideCrossbar::from_scalar`]).
+    /// array, which may carry an endurance limit but no fault model.
     ///
     /// # Panics
     ///
-    /// Panics if `lanes` is not in `1..=64`.
-    pub fn with_array(array: WideCrossbar, lanes: usize) -> Self {
+    /// Panics if `lanes` is not in `1..=64`, or the array runs under a
+    /// fault model (word-level writes have no per-lane readback).
+    pub fn with_array(array: Crossbar, lanes: usize) -> Self {
         assert!(
-            (1..=WideCrossbar::LANES).contains(&lanes),
-            "active lane count must be in 1..=64"
+            array.fault_model().is_none(),
+            "word-level execution needs a fault-free array"
         );
-        WideMachine {
-            array,
-            lanes,
-            cycles: 0,
-        }
+        let mut machine = Machine::with_array(array);
+        machine.set_lanes(lanes);
+        WideMachine { machine }
     }
 
     /// Number of active lanes.
     pub fn lanes(&self) -> usize {
-        self.lanes
+        self.machine.lanes()
     }
 
-    /// The underlying word-level array (logical wear, stored words).
-    pub fn array(&self) -> &WideCrossbar {
-        &self.array
+    /// The underlying array (logical wear, stored words).
+    pub fn array(&self) -> &Crossbar {
+        self.machine.array()
     }
 
     /// Grows the array to at least `num_cells` cells. Never shrinks.
     pub fn ensure_cells(&mut self, num_cells: usize) {
-        self.array.grow_to(num_cells);
+        self.machine.ensure_cells(num_cells);
     }
 
     /// Total RM3 instructions executed since construction (each advances
     /// all active lanes at once).
     pub fn cycles(&self) -> u64 {
-        self.cycles
+        self.machine.cycles()
     }
 
     /// Preloads the primary inputs of every lane (wear-free): lane `k`
-    /// receives `lane_inputs[k]`, in the program's PI order. Inactive high
-    /// lanes are preloaded with 0.
+    /// receives `lane_inputs[k]`, in the program's PI order.
     ///
     /// # Panics
     ///
     /// Panics if `lane_inputs.len()` differs from the active lane count,
     /// or any lane's vector does not match the program's input arity.
     pub fn load_inputs(&mut self, program: &Program, lane_inputs: &[&[bool]]) {
-        assert_eq!(
-            lane_inputs.len(),
-            self.lanes,
-            "one input vector per active lane"
-        );
-        for (i, &cell) in program.input_cells.iter().enumerate() {
-            let mut word = 0u64;
-            for (k, inputs) in lane_inputs.iter().enumerate() {
-                assert_eq!(
-                    inputs.len(),
-                    program.input_cells.len(),
-                    "input value count must match the program's input cells"
-                );
-                word |= u64::from(inputs[i]) << k;
-            }
-            self.array.preload_word(cell, word);
-        }
+        (self.machine.load_lanes(program, lane_inputs)).expect("a fault-free array loads clean");
     }
 
     /// Executes a single RM3 instruction on all active lanes.
@@ -158,14 +116,7 @@ impl WideMachine {
     /// one logical write per active lane; the machine state is unchanged
     /// in that case.
     pub fn step(&mut self, inst: &Instruction) -> Result<(), EnduranceError> {
-        let p = self.operand_word(inst.p);
-        let q = self.operand_word(inst.q);
-        let z = self.array.read_word(inst.z);
-        // maj(p, !q, z), bitwise over the lanes.
-        let result = (p & !q) | (z & (p | !q));
-        self.array.write_word(inst.z, result, self.lanes)?;
-        self.cycles += 1;
-        Ok(())
+        self.machine.step(inst).map_err(worn)
     }
 
     /// Executes all instructions of `program` in order.
@@ -174,23 +125,12 @@ impl WideMachine {
     ///
     /// Stops at the first endurance failure and returns it.
     pub fn execute(&mut self, program: &Program) -> Result<(), EnduranceError> {
-        for inst in &program.instructions {
-            self.step(inst)?;
-        }
-        Ok(())
+        self.machine.execute(program).map_err(worn)
     }
 
     /// Reads the primary outputs of every active lane, in lane order.
     pub fn outputs(&self, program: &Program) -> Vec<Vec<bool>> {
-        (0..self.lanes)
-            .map(|k| {
-                program
-                    .output_cells
-                    .iter()
-                    .map(|&c| (self.array.read_word(c) >> k) & 1 == 1)
-                    .collect()
-            })
-            .collect()
+        self.machine.lane_outputs(program)
     }
 
     /// Convenience: load every lane's inputs, execute, read every lane's
@@ -208,21 +148,21 @@ impl WideMachine {
         self.execute(program)?;
         Ok(self.outputs(program))
     }
+}
 
-    fn operand_word(&self, op: Operand) -> u64 {
-        match op {
-            Operand::Const(true) => u64::MAX,
-            Operand::Const(false) => 0,
-            Operand::Cell(c) => self.array.read_word(c),
-        }
+/// The endurance failure behind a fault on a fault-free array.
+fn worn(fault: WriteFault) -> EnduranceError {
+    match fault {
+        WriteFault::Worn(error) => error,
+        WriteFault::Stuck(error) => unreachable!("a fault-free array cannot stick: {error}"),
     }
 }
 
-/// Executes `program` once per lane on a fresh word-level array and
-/// returns `(per-lane outputs, per-cell logical write counts)` — the
-/// bit-parallel analogue of [`run_once`](crate::run_once), which it must
-/// agree with lane by lane (the testkit's differential harness proves
-/// both the outputs and the write counts).
+/// Executes `program` once per lane on a fresh array and returns
+/// `(per-lane outputs, per-cell logical write counts)` — the bit-parallel
+/// analogue of [`run_once`](crate::run_once), which it must agree with
+/// lane by lane (the testkit's differential harness proves both the
+/// outputs and the write counts).
 ///
 /// # Panics
 ///
@@ -238,6 +178,7 @@ pub fn run_once_wide(program: &Program, lane_inputs: &[&[bool]]) -> (Vec<Vec<boo
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::isa::Operand;
     use crate::machine::run_once;
     use rlim_rram::CellId;
 
@@ -299,8 +240,10 @@ mod tests {
                 input_cells: vec![],
                 output_cells: vec![cell(0)],
             };
-            let mut m = WideMachine::for_program(&program, 2);
-            m.array.preload_word(cell(0), 0b10); // lane 0: z=0, lane 1: z=1
+            let mut array = Crossbar::new();
+            array.grow_to(1);
+            array.preload_word(cell(0), 0b10); // lane 0: z=0, lane 1: z=1
+            let mut m = WideMachine::with_array(array, 2);
             m.execute(&program).unwrap();
             let expect = |z: bool| (p && !q) || (z && (p || !q));
             assert_eq!(
@@ -326,7 +269,7 @@ mod tests {
     #[test]
     fn endurance_failure_is_atomic_per_word() {
         let program = not_gate(); // two writes on cell r1 per lane
-        let mut array = WideCrossbar::with_endurance(5);
+        let mut array = Crossbar::with_endurance(5);
         array.grow_to(2);
         let mut m = WideMachine::with_array(array, 4);
         // First instruction: 4 logical writes fit (4 ≤ 5); second: 8 > 5.

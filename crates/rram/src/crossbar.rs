@@ -2,9 +2,11 @@
 //!
 //! PLiM treats the whole crossbar as one flat address space, so the model is
 //! a growable vector of bipolar resistive switches (BRS). Each cell records
-//! its stored bit and the number of times it has been written. An optional
+//! its stored state and the number of times it has been written. An optional
 //! endurance limit turns over-writing into a hard failure, which the
-//! test-suite uses for failure injection.
+//! test-suite uses for failure injection. The stored state is a 64-lane
+//! word (lane `k` serves input vector `k`); bit accesses see lane 0 and
+//! store their bit broadcast to every lane.
 
 use std::fmt;
 
@@ -58,12 +60,18 @@ impl fmt::Display for EnduranceError {
 
 impl std::error::Error for EnduranceError {}
 
-/// One bipolar resistive switch.
+/// One bipolar resistive switch: its state in every lane, plus wear.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Cell {
-    value: bool,
+    value: u64,
     writes: u64,
     switches: u64,
+}
+
+/// `bit` in every lane.
+#[inline]
+fn broadcast(bit: bool) -> u64 {
+    u64::from(bit).wrapping_neg()
 }
 
 /// A growable crossbar of RRAM cells with per-cell wear tracking.
@@ -96,6 +104,9 @@ struct Faults {
 }
 
 impl Crossbar {
+    /// Lanes carried by one cell word.
+    pub const LANES: usize = 64;
+
     /// An empty array without an endurance limit.
     pub fn new() -> Self {
         Crossbar::default()
@@ -160,7 +171,7 @@ impl Crossbar {
             f.profiles.push(f.model.profile(id.index()));
         }
         self.cells.push(Cell {
-            value,
+            value: broadcast(value),
             writes: 0,
             switches: 0,
         });
@@ -174,19 +185,27 @@ impl Crossbar {
         }
     }
 
-    /// Reads a cell's stored bit.
+    /// Reads a cell's stored bit (lane 0).
     ///
     /// # Panics
     ///
     /// Panics if `cell` is out of range.
     #[inline]
     pub fn read(&self, cell: CellId) -> bool {
+        self.cells[cell.index()].value & 1 == 1
+    }
+
+    /// Reads a cell's stored word, one bit per lane. Panics as
+    /// [`read`](Self::read).
+    #[inline]
+    pub fn read_word(&self, cell: CellId) -> u64 {
         self.cells[cell.index()].value
     }
 
-    /// Writes `value` into `cell`, incrementing its wear counter. RRAM
-    /// programming pulses stress the device regardless of whether the value
-    /// changes, so identical-value writes also count.
+    /// Writes `value` into `cell` (broadcast to every lane), incrementing
+    /// its wear counter. RRAM programming pulses stress the device
+    /// regardless of whether the value changes, so identical-value writes
+    /// also count. The one-lane case of [`write_word`](Self::write_word).
     ///
     /// # Errors
     ///
@@ -196,24 +215,51 @@ impl Crossbar {
     /// # Panics
     ///
     /// Panics if `cell` is out of range.
+    #[inline]
     pub fn write(&mut self, cell: CellId, value: bool) -> Result<(), EnduranceError> {
+        self.write_word(cell, broadcast(value), 1)
+    }
+
+    /// Writes `word` into `cell`, charging one logical write per active
+    /// lane; bits above `lanes` are stored but carry no wear. Only
+    /// one-lane writes count switches (lane-serial flips are unobservable).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`EnduranceError`], performing no lane, when
+    /// `writes + lanes` would exceed the cell's endurance limit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cell` is out of range or `lanes` is not in `1..=64`.
+    #[inline]
+    pub fn write_word(
+        &mut self,
+        cell: CellId,
+        word: u64,
+        lanes: usize,
+    ) -> Result<(), EnduranceError> {
+        assert!(
+            (1..=Self::LANES).contains(&lanes),
+            "active lane count must be in 1..=64"
+        );
         let profile = self.faults.as_ref().map(|f| f.profiles[cell.index()]);
         let limit = profile.map(|p| p.limit).or(self.endurance);
         let c = &mut self.cells[cell.index()];
         if let Some(limit) = limit {
-            if c.writes >= limit {
+            if c.writes + lanes as u64 > limit {
                 return Err(EnduranceError { cell, limit });
             }
         }
         // The pulse is applied (and wears the cell) even when a stuck-at
         // fault keeps the stored state frozen — absorption, not rejection.
-        c.writes += 1;
+        c.writes += lanes as u64;
         let stored = match profile.and_then(|p| p.stuck) {
-            Some(s) if c.writes >= s.onset => s.value,
-            _ => value,
+            Some(s) if c.writes >= s.onset => broadcast(s.value),
+            _ => word,
         };
-        if c.value != stored {
-            c.switches += 1;
+        if lanes == 1 {
+            c.switches += (c.value ^ stored) & 1;
         }
         c.value = stored;
         Ok(())
@@ -234,28 +280,31 @@ impl Crossbar {
     /// # Panics
     ///
     /// Panics if `cell` is out of range.
+    #[inline]
     pub fn write_verified(&mut self, cell: CellId, value: bool) -> Result<(), WriteFault> {
         self.write(cell, value)?;
-        let stored = self.read(cell);
-        if stored != value {
-            return Err(WriteFault::Stuck(StuckAtError {
-                cell,
-                stuck: stored,
-            }));
-        }
-        Ok(())
+        Ok(self.verify(cell, value)?)
     }
 
-    /// Sets a cell's value **without** counting a write. Models the input
-    /// load phase, which the paper's accounting excludes (the array acts as
-    /// a plain RAM whose contents are given before computation starts).
+    /// Sets a cell's value (broadcast to every lane) **without** counting
+    /// a write. Models the input load phase, which the paper's accounting
+    /// excludes (the array acts as a plain RAM whose contents are given
+    /// before computation starts).
     ///
     /// # Panics
     ///
     /// Panics if `cell` is out of range.
     #[inline]
     pub fn preload(&mut self, cell: CellId, value: bool) {
-        let stored = self.stuck_at(cell).unwrap_or(value);
+        self.preload_word(cell, broadcast(value));
+    }
+
+    /// Sets a cell's word **without** counting writes — the per-lane
+    /// input load. A manifest stuck-at fault freezes every lane. Panics
+    /// as [`preload`](Self::preload).
+    #[inline]
+    pub fn preload_word(&mut self, cell: CellId, word: u64) {
+        let stored = self.stuck_at(cell).map_or(word, broadcast);
         self.cells[cell.index()].value = stored;
     }
 
@@ -274,25 +323,26 @@ impl Crossbar {
     /// Panics if `cell` is out of range.
     pub fn preload_verified(&mut self, cell: CellId, value: bool) -> Result<(), StuckAtError> {
         self.preload(cell, value);
-        let stored = self.read(cell);
-        if stored != value {
-            return Err(StuckAtError {
-                cell,
-                stuck: stored,
-            });
-        }
-        Ok(())
+        self.verify(cell, value)
     }
 
-    /// Overwrites a cell's stored value and write counter in one step —
-    /// the commit path of [`crate::WideCrossbar`], whose lane-accurate
-    /// wear accounting is the only caller allowed to set counters
-    /// directly. Switch counters are untouched (per-lane switching is not
-    /// observable at word level).
-    pub(crate) fn commit(&mut self, cell: CellId, value: bool, writes: u64) {
-        let c = &mut self.cells[cell.index()];
-        c.value = value;
-        c.writes = writes;
+    /// The readback half of a verified access.
+    fn verify(&self, cell: CellId, value: bool) -> Result<(), StuckAtError> {
+        let stuck = self.read(cell);
+        if stuck == value {
+            Ok(())
+        } else {
+            Err(StuckAtError { cell, stuck })
+        }
+    }
+
+    /// Broadcasts every cell's bit at `lane` to all lanes, wear-free.
+    /// Panics if `lane` is not below [`Crossbar::LANES`].
+    pub fn broadcast_lane(&mut self, lane: usize) {
+        assert!(lane < Self::LANES, "lane must be in 0..64");
+        for c in &mut self.cells {
+            c.value = broadcast((c.value >> lane) & 1 == 1);
+        }
     }
 
     /// Write count of one cell.
@@ -319,12 +369,13 @@ impl Crossbar {
         self.cells.iter().map(|c| c.switches).collect()
     }
 
-    /// Stored values of every cell, indexed by cell.
+    /// Stored values (lane 0) of every cell, indexed by cell.
     pub fn values(&self) -> Vec<bool> {
-        self.cells.iter().map(|c| c.value).collect()
+        self.cells.iter().map(|c| c.value & 1 == 1).collect()
     }
 
-    /// Resets all stored values and wear counters, keeping the cell count.
+    /// Resets every cell's write and switch counters, keeping the cell
+    /// count and the stored values.
     /// Under fault injection this models a factory-fresh device: latent
     /// stuck-at faults un-manifest because their wear-count onsets are no
     /// longer reached.
@@ -436,6 +487,104 @@ mod tests {
         assert!(CellId::new(1) < CellId::new(2));
         assert_eq!(CellId::new(7).to_string(), "r7");
         assert_eq!(CellId::new(7).index(), 7);
+    }
+
+    // ---- Lane words -------------------------------------------------
+
+    #[test]
+    fn wear_is_per_logical_write() {
+        let mut array = Crossbar::new();
+        array.grow_to(2);
+        let c = CellId::new(1);
+        array.write_word(c, u64::MAX, 64).unwrap();
+        array.write_word(c, 0, 5).unwrap();
+        assert_eq!(array.writes(c), 69);
+        assert_eq!(array.write_counts(), vec![0, 69]);
+    }
+
+    #[test]
+    fn bit_accesses_broadcast_to_every_lane() {
+        let mut array = Crossbar::new();
+        let a = array.alloc(true);
+        let b = array.alloc(false);
+        array.write(b, true).unwrap();
+        assert_eq!(array.read_word(a), u64::MAX);
+        assert_eq!(array.read_word(b), u64::MAX);
+        assert_eq!(array.writes(a), 0);
+        assert_eq!(array.writes(b), 1);
+    }
+
+    #[test]
+    fn broadcast_lane_keeps_that_lanes_values_and_all_wear() {
+        let mut array = Crossbar::new();
+        let a = array.alloc(false);
+        let b = array.alloc(true);
+        // Lane 0 writes a=1; lane 1 writes a=0. Cell b is never written.
+        array.write_word(a, 0b01, 2).unwrap();
+        let mut other = array.clone();
+        array.broadcast_lane(1);
+        assert!(!array.read(a), "lane 1 stored 0");
+        assert_eq!(array.writes(a), 2, "two logical writes");
+        assert!(array.read(b), "unwritten cell keeps its value");
+        assert_eq!(array.writes(b), 0);
+        other.broadcast_lane(0);
+        assert!(other.read(a), "lane 0 stored 1");
+    }
+
+    #[test]
+    fn conservative_endurance_check_is_atomic() {
+        let mut array = Crossbar::with_endurance(10);
+        array.grow_to(1);
+        let c = CellId::new(0);
+        array.write_word(c, 1, 8).unwrap();
+        // 8 + 3 > 10: the word write fails without performing any lane.
+        let err = array.write_word(c, 0, 3).unwrap_err();
+        assert_eq!(err.cell, c);
+        assert_eq!(err.limit, 10);
+        assert_eq!(array.writes(c), 8);
+        assert_eq!(array.read_word(c), 1);
+        // 8 + 2 = 10 still fits exactly.
+        array.write_word(c, 0, 2).unwrap();
+        assert_eq!(array.writes(c), 10);
+    }
+
+    #[test]
+    fn word_writes_share_the_bit_writes_endurance() {
+        let mut array = Crossbar::with_endurance(3);
+        let c = array.alloc(false);
+        array.write(c, true).unwrap();
+        assert_eq!(array.endurance(), Some(3));
+        assert!(array.write_word(c, 0, 3).is_err(), "1 + 3 > 3");
+        array.write_word(c, 0, 2).unwrap();
+    }
+
+    #[test]
+    fn grow_to_keeps_words() {
+        let mut array = Crossbar::new();
+        array.grow_to(3);
+        array.write_word(CellId::new(2), 7, 1).unwrap();
+        array.grow_to(1);
+        assert_eq!(array.len(), 3);
+        assert_eq!(array.read_word(CellId::new(2)), 7);
+        assert!(!array.is_empty());
+    }
+
+    #[test]
+    fn only_one_lane_writes_count_switches() {
+        let mut array = Crossbar::new();
+        let c = array.alloc(false);
+        array.write_word(c, 0b101, 3).unwrap();
+        assert_eq!(array.switches(c), 0);
+        array.write_word(c, 0, 1).unwrap(); // lane 0 flips back
+        assert_eq!(array.switches(c), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "active lane count")]
+    fn zero_lane_write_rejected() {
+        let mut array = Crossbar::new();
+        array.grow_to(1);
+        let _ = array.write_word(CellId::new(0), 0, 0);
     }
 
     // ---- Fault injection ---------------------------------------------

@@ -8,10 +8,9 @@
 //! write, so the per-cell write distribution decides the array's lifetime.
 //!
 //! * [`Crossbar`] — a growable array of bipolar resistive switches with
-//!   per-cell write counters and an optional endurance limit.
-//! * [`WideCrossbar`] — the 64-lane word-level overlay of a [`Crossbar`]
-//!   with per-cell *logical* write accounting, behind the bit-parallel
-//!   execution path.
+//!   per-cell write counters and an optional endurance limit. Each cell
+//!   holds a 64-lane word; a word write advances up to 64 executions and
+//!   is charged one *logical* write per active lane.
 //! * [`WriteStats`] — min / max / standard deviation of write counts, the
 //!   paper's evaluation metrics.
 //! * [`FleetWriteStats`] — the same metrics aggregated over a fleet of
@@ -46,7 +45,6 @@ mod crossbar;
 mod fault;
 mod geometry;
 mod stats;
-mod wide;
 
 pub mod lifetime;
 pub mod variability;
@@ -55,4 +53,3 @@ pub use crossbar::{CellId, Crossbar, EnduranceError};
 pub use fault::{CellProfile, FaultModel, StuckAtError, StuckFault, WriteFault};
 pub use geometry::{Geometry, WearMap};
 pub use stats::{FleetWriteStats, WriteStats};
-pub use wide::WideCrossbar;

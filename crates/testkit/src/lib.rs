@@ -56,7 +56,7 @@ use rlim_compiler::{
 use rlim_isa::Program as IsaProgram;
 use rlim_mig::{equiv_random, Mig};
 use rlim_plim::{run_once, run_once_wide, Program};
-use rlim_rram::WideCrossbar;
+use rlim_rram::Crossbar;
 
 /// Largest input count that is verified exhaustively by default.
 ///
@@ -381,6 +381,8 @@ impl Oracle {
     /// baseline is input-independent — every RM3 instruction writes its
     /// destination exactly once regardless of data — so a single scalar
     /// run anchors every chunk.
+    /// Both runs share one execution core, so both are also held against
+    /// the static per-cell counts of the instruction list.
     fn check_wide(
         &self,
         name: &str,
@@ -390,11 +392,16 @@ impl Oracle {
         reference: &[Vec<bool>],
     ) -> usize {
         let (_, scalar_counts) = run_once(program, &inputs[0]);
+        let static_counts = program.write_counts();
+        assert_eq!(
+            scalar_counts, static_counts,
+            "{name}/{label}: one-lane wear diverges from the static write counts"
+        );
         let mut comparisons = 0;
-        for (chunk_index, chunk) in inputs.chunks(WideCrossbar::LANES).enumerate() {
+        for (chunk_index, chunk) in inputs.chunks(Crossbar::LANES).enumerate() {
             let lane_inputs: Vec<&[bool]> = chunk.iter().map(Vec::as_slice).collect();
             let (outputs, wide_counts) = run_once_wide(program, &lane_inputs);
-            let base = chunk_index * WideCrossbar::LANES;
+            let base = chunk_index * Crossbar::LANES;
             for (k, got) in outputs.iter().enumerate() {
                 assert_eq!(
                     got,
@@ -409,6 +416,7 @@ impl Oracle {
                 scalar_counts.len(),
                 "{name}/{label}: rm3-wide array size diverges from scalar"
             );
+            let lanes = chunk.len() as u64;
             for (cell, (&wide, &scalar)) in wide_counts.iter().zip(&scalar_counts).enumerate() {
                 assert_eq!(
                     wide,
@@ -416,6 +424,12 @@ impl Oracle {
                     "{name}/{label}: cell {cell} wear diverges: a {}-lane word pass \
                      must cost exactly lanes x the scalar per-run writes",
                     chunk.len()
+                );
+                assert_eq!(
+                    wide,
+                    lanes * static_counts[cell],
+                    "{name}/{label}: cell {cell}: a {lanes}-lane word pass must cost \
+                     exactly lanes x the static write count"
                 );
             }
         }

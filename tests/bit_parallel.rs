@@ -14,7 +14,7 @@ use rlim::mig::Mig;
 use rlim::plim::{
     run_once, run_once_wide, DispatchPolicy, Fleet, FleetConfig, Job, Machine, WideMachine,
 };
-use rlim::rram::WideCrossbar;
+use rlim::rram::Crossbar;
 
 /// Strategy: a seeded random MIG configuration small enough for
 /// debug-mode compile+execute rounds (same shape as property_based.rs).
@@ -120,7 +120,7 @@ proptest! {
     }
 
     /// (d) Satellite: the wide path under an endurance limit `E = 64·t`.
-    /// `WideCrossbar`'s conservative pre-check is exactly as permissive
+    /// `Crossbar::write_word`'s conservative pre-check is exactly as permissive
     /// as the accumulated wear of 64 scalar runs: both paths fail iff
     /// some cell's per-run write count exceeds `t`, and every failing
     /// cell stalls having absorbed exactly `E` logical writes. The wide
@@ -158,7 +158,7 @@ proptest! {
         let should_fail = max_per_run > t;
 
         // The 64-lane word pass against E.
-        let mut wide = WideMachine::with_array(WideCrossbar::with_endurance(limit), 64);
+        let mut wide = WideMachine::with_array(Crossbar::with_endurance(limit), 64);
         wide.ensure_cells(program.num_cells);
         let wide_result = wide.run(program, &lane_inputs);
 
